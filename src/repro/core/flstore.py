@@ -50,7 +50,7 @@ from repro.simulation.records import (
     LatencyAccumulator,
     LatencyBreakdown,
 )
-from repro.workloads.base import WorkloadRequest
+from repro.workloads.base import Workload, WorkloadRequest
 from repro.workloads.registry import get_workload
 
 
@@ -60,6 +60,8 @@ class ServeResult:
 
     request_id: str
     workload: str
+    #: The workload's output.  Requests with one data signature share one
+    #: result object (see :meth:`FLStore.serve`), so treat it as read-only.
     result: dict[str, Any]
     latency: LatencyBreakdown
     cost: CostBreakdown
@@ -135,11 +137,15 @@ class FLStore:
         self.model_spec: ModelSpec = get_model_spec(self.config.job.model_name)
         self.ingest_cost = CostBreakdown.zero()
         self._request_ids = IdGenerator(prefix="req", width=6)
+        #: Workload results by :meth:`Workload.result_key`, valid for the
+        #: current catalog state only (every ingest clears it).
+        self._results: dict[tuple, dict[str, Any]] = {}
 
     # --------------------------------------------------------------- ingest
 
     def ingest_round(self, record: RoundRecord) -> IngestReport:
         """Ingest a freshly completed training round (asynchronous to requests)."""
+        self._results.clear()
         report = self.engine.ingest_round(record, now=self.clock.now())
         self.ingest_cost = self.ingest_cost + report.backup_cost
         return report
@@ -151,6 +157,7 @@ class FLStore:
         scheduled warm events instead of the ingest policy (see
         :meth:`repro.core.cache_engine.CacheEngine.ingest_round_cold`).
         """
+        self._results.clear()
         report = self.engine.ingest_round_cold(record, now=self.clock.now())
         self.ingest_cost = self.ingest_cost + report.backup_cost
         return report
@@ -176,7 +183,14 @@ class FLStore:
         )
 
     def serve(self, request: WorkloadRequest) -> ServeResult:
-        """Serve one non-training request end to end (Figure 6 workflow)."""
+        """Serve one non-training request end to end (Figure 6 workflow).
+
+        Latency and cost come from the data the request resolves and the
+        analytic ``compute_seconds``, never from the workload's output, so
+        the output is memoized per data signature (:meth:`_compute_result`):
+        requests with one signature share one ``result`` object, which
+        callers must treat as read-only.
+        """
         workload = get_workload(request.workload)
         required_keys = workload.required_keys(request, self.catalog)
         tracked = self.tracker.submit(request.request_id)
@@ -267,7 +281,7 @@ class FLStore:
             )
             cost.add(self.cost_model.lambda_execution_cost(memory_gb, miss_fetch_seconds))
 
-        result = workload.compute(request, data)
+        result = self._compute_result(workload, request, data)
 
         # --- return results and persist them --------------------------------
         latency.add_communication(
@@ -312,6 +326,30 @@ class FLStore:
         )
 
     # ---------------------------------------------------------------- helpers
+
+    def _compute_result(
+        self, workload: Workload, request: WorkloadRequest, data: dict[DataKey, Any]
+    ) -> dict[str, Any]:
+        """``workload.compute(request, data)``, memoized by its result key.
+
+        A hit returns exactly what a fresh call would: the key holds every
+        input ``compute`` reads, and every ingest clears the memo, so a key's
+        value never changes under it.  Workloads whose key is ``None``, and
+        requests whose key is unhashable, are computed every time; a call
+        that raises stores nothing.
+        """
+        key = workload.result_key(request, data)
+        if key is not None:
+            try:
+                return self._results[key]
+            except KeyError:
+                pass
+            except TypeError:  # an unhashable params value
+                key = None
+        result = workload.compute(request, data)
+        if key is not None:
+            self._results[key] = result
+        return result
 
     def _fetch_from_persistent(self, key: DataKey) -> tuple[LatencyBreakdown, CostBreakdown, Any]:
         """Fetch a cold object from the persistent store (returns ``None`` if absent)."""

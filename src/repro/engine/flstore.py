@@ -162,7 +162,7 @@ def serve_degraded(flstore: FLStore, request: WorkloadRequest) -> ServeResult:
     billed_seconds = max(fetch_seconds + compute_seconds, 0.001)
     cost.add(flstore.cost_model.lambda_execution_cost(memory_gb, billed_seconds))
 
-    result = workload.compute(request, data)
+    result = flstore._compute_result(workload, request, data)
     latency.add_communication(flstore.topology.client.transfer_seconds(workload.result_size_bytes))
     store_result = flstore.persistent_store.put(
         ("result", request.request_id), result, size_bytes=workload.result_size_bytes

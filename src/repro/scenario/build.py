@@ -608,8 +608,8 @@ def _merge_tenant_traces(spec: ScenarioSpec, tier: Tier, mean_service: float):
         process = make_arrival_process(
             tenant.arrival, tenant_rate, seed=spec.seed + index + 1
         )
-        for at, request in zip(process.times(len(trace)), trace):
-            merged.append((float(at), index, request, tenant.priority))
+        for at, request in zip(process.times_array(len(trace)).tolist(), trace):
+            merged.append((at, index, request, tenant.priority))
     merged.sort(key=lambda item: (item[0], item[1]))
     trace = [item[2] for item in merged]
     arrivals = [item[0] for item in merged]
@@ -651,7 +651,7 @@ def run(spec: ScenarioSpec) -> RunReport:
             trace = tier.generator.mixed_trace(
                 list(spec.workload.workloads), spec.workload.num_requests
             )
-            arrivals = arrival_process.times(len(trace))
+            arrivals = arrival_process.times_array(len(trace)).tolist()
             priorities = None
         extras: dict = {}
         if priorities is not None:

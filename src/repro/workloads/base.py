@@ -96,6 +96,25 @@ class Workload(abc.ABC):
 
     # ----------------------------------------------------- shared behaviour
 
+    def result_key(self, request: WorkloadRequest, data: Mapping[DataKey, Any]) -> tuple | None:
+        """Key under which ``compute(request, data)`` may be memoized.
+
+        The key holds every request field ``compute`` reads plus the keys of
+        the objects actually present in ``data`` (a request that lost one to a
+        reclamation and a persistent miss gets its own entry).  It assumes
+        ``compute`` is deterministic in those inputs; a workload whose result
+        varies per request returns ``None``, meaning "do not memoize".  The
+        key may be unhashable when a ``params`` value is (e.g. a list).
+        """
+        return (
+            self.name,
+            request.round_id,
+            request.client_id,
+            request.history_rounds,
+            tuple(sorted(request.params.items())),
+            tuple(data),
+        )
+
     def compute_seconds(self, model_spec: ModelSpec, num_items: int) -> float:
         """Analytic computation time on the reference serverless function.
 

@@ -32,12 +32,17 @@ class InferenceWorkload(Workload):
         del catalog
         return [DataKey.aggregate(request.round_id)]
 
+    def result_key(self, request: WorkloadRequest, data: Mapping[DataKey, Any]) -> None:
+        """Never memoized: every request draws its own input batch."""
+        del request, data
+        return None
+
     def compute(self, request: WorkloadRequest, data: Mapping[DataKey, Any]) -> dict[str, Any]:
         keys = [DataKey.aggregate(request.round_id)]
         self.validate_data(request, data, keys)
         aggregate: ModelUpdate = data[keys[0]]
         batch_size = int(request.params.get("batch_size", 64))
-        rng = derive_rng(hash(request.request_id) % (2**31), "inference-batch")
+        rng = derive_rng(request.round_id, "inference-batch", request.request_id)
         inputs = rng.normal(0.0, 1.0, size=(batch_size, aggregate.dim))
         logits = inputs @ aggregate.weights
         probabilities = 1.0 / (1.0 + np.exp(-logits))
