@@ -20,12 +20,15 @@ from __future__ import annotations
 import abc
 import enum
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Mapping
+
+import numpy as np
 
 from repro.common.errors import WorkloadError
 from repro.common.units import KB
 from repro.fl.catalog import RoundCatalog
-from repro.fl.keys import DataKey
+from repro.fl.keys import DataKey, DataKind
 from repro.fl.models import ModelSpec, ModelUpdate
 
 
@@ -92,7 +95,16 @@ class Workload(abc.ABC):
 
     @abc.abstractmethod
     def compute(self, request: WorkloadRequest, data: Mapping[DataKey, Any]) -> dict[str, Any]:
-        """Execute the workload over ``data`` and return its result."""
+        """Execute the workload over ``data`` and return its result.
+
+        ``compute`` is a pure function of the request fields and ``data``: it
+        keeps no state between calls, and any randomness is seeded from the
+        request.  FLStore's result memo (:meth:`result_key`) and the
+        differential kernel tests rely on this.  Kernels work in whole-array
+        numpy, a few array operations per call rather than one numpy call per
+        update or record, because the inputs are small and per-call overhead
+        dominates.
+        """
 
     # ----------------------------------------------------- shared behaviour
 
@@ -124,7 +136,9 @@ class Workload(abc.ABC):
         size_scale = model_spec.size_mb / _REFERENCE_SIZE_MB
         return self.base_compute_seconds + self.per_item_compute_seconds * num_items * size_scale
 
-    def validate_data(self, request: WorkloadRequest, data: Mapping[DataKey, Any], keys: list[DataKey]) -> None:
+    def validate_data(
+        self, request: WorkloadRequest, data: Mapping[DataKey, Any], keys: list[DataKey]
+    ) -> None:
         """Raise :class:`WorkloadError` if any required object is missing."""
         missing = [key for key in keys if key not in data]
         if missing:
@@ -140,5 +154,50 @@ class Workload(abc.ABC):
         """Extract the :class:`ModelUpdate` objects referenced by ``keys`` in order."""
         return [data[key] for key in keys if key in data and isinstance(data[key], ModelUpdate)]
 
+    @staticmethod
+    def round_updates(
+        request: WorkloadRequest, data: Mapping[DataKey, Any]
+    ) -> tuple[list[ModelUpdate], np.ndarray | None]:
+        """The requested round's client updates in client order, and their stacked weights.
+
+        Returns ``(updates, matrix)`` where row ``i`` of ``matrix`` is
+        ``updates[i].weights``; ``matrix`` is ``None`` when there are no updates.
+        """
+        round_id = request.round_id
+        update_kind = DataKind.CLIENT_UPDATE
+        pairs = [
+            (key.client_id, value)
+            for key, value in data.items()
+            if key.kind is update_kind and key.round_id == round_id
+        ]
+        pairs.sort(key=itemgetter(0))
+        updates = [value for _, value in pairs if isinstance(value, ModelUpdate)]
+        if not updates:
+            return updates, None
+        return updates, np.stack([u.weights for u in updates])
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Workload {self.name} ({self.policy_class.value})>"
+
+
+def group_means(values: np.ndarray, groups: np.ndarray, count: int) -> np.ndarray:
+    """Mean of ``values`` per group, for non-empty groups ``0..count-1``.
+
+    Every mean equals ``np.mean`` of that group's values, in their order, bit
+    for bit: the groups of one size are the rows of one matrix, and a row sum
+    adds its elements as ``np.mean`` does.  Costs a few numpy calls per
+    distinct group size, not per group.
+    """
+    sizes = np.bincount(groups, minlength=count)
+    # Values ordered by (group size, group), each group's own order kept.
+    ordered = values[np.argsort(sizes[groups] * count + groups, kind="stable")]
+    rows = []
+    start = 0
+    for size, many in enumerate(np.bincount(sizes).tolist()):
+        if many:
+            stop = start + size * many
+            rows.append(ordered[start:stop].reshape(many, size).sum(axis=1))
+            start = stop
+    sums = np.empty(count)
+    sums[np.argsort(sizes, kind="stable")] = np.concatenate(rows)
+    return sums / sizes

@@ -18,28 +18,37 @@ from repro.fl.keys import DataKey
 from repro.workloads.base import PolicyClass, Workload, WorkloadRequest
 
 
-def kmeans(matrix: np.ndarray, k: int, seed: int = 0, max_iterations: int = 50) -> tuple[np.ndarray, np.ndarray]:
+def kmeans(
+    matrix: np.ndarray, k: int, seed: int = 0, max_iterations: int = 50
+) -> tuple[np.ndarray, np.ndarray]:
     """Plain k-means (Lloyd's algorithm) on the rows of ``matrix``.
 
-    Returns ``(labels, centers)``.  Implemented here (rather than depending on
+    Returns ``(labels, centers)``; the center of every non-empty cluster is
+    the mean of its members.  Implemented here (rather than depending on
     scikit-learn) because the simulator only needs a small, deterministic
-    clustering primitive.
+    clustering primitive.  Points are assigned by squared Euclidean distance,
+    which has the same argmin as the distance and skips the square root.
     """
     n = matrix.shape[0]
     k = max(1, min(k, n))
     rng = derive_rng(seed, "kmeans-init")
     centers = matrix[rng.choice(n, size=k, replace=False)]
     labels = np.zeros(n, dtype=int)
-    for _ in range(max_iterations):
-        distances = np.linalg.norm(matrix[:, None, :] - centers[None, :, :], axis=2)
-        new_labels = distances.argmin(axis=1)
-        if np.array_equal(new_labels, labels) and _ > 0:
+    for iteration in range(max_iterations):
+        offsets = matrix[:, None, :] - centers
+        new_labels = np.square(offsets, out=offsets).sum(axis=2).argmin(axis=1)
+        if iteration > 0 and (new_labels == labels).all():
             break
         labels = new_labels
-        for cluster in range(k):
-            members = matrix[labels == cluster]
-            if len(members):
-                centers[cluster] = members.mean(axis=0)
+        # Move every non-empty cluster's center to its members' mean.  Sorting
+        # the rows stably by label makes each cluster one slice, summed in row
+        # order exactly as ``matrix[labels == cluster].mean(axis=0)`` would.
+        grouped = matrix[np.argsort(labels, kind="stable")]
+        stop = 0
+        for cluster, size in enumerate(np.bincount(labels, minlength=k).tolist()):
+            start, stop = stop, stop + size
+            if size:
+                centers[cluster] = grouped[start:stop].sum(axis=0) / size
     return labels, centers
 
 
@@ -54,25 +63,21 @@ class ClusteringWorkload(Workload):
 
     def required_keys(self, request: WorkloadRequest, catalog: RoundCatalog) -> list[DataKey]:
         """Every client update of the requested round."""
-        return [DataKey.update(cid, request.round_id) for cid in catalog.participants(request.round_id)]
+        return [
+            DataKey.update(cid, request.round_id) for cid in catalog.participants(request.round_id)
+        ]
 
     def compute(self, request: WorkloadRequest, data: Mapping[DataKey, Any]) -> dict[str, Any]:
-        keys = sorted(k for k in data if k.is_update and k.round_id == request.round_id)
-        updates = self.updates_from(data, keys)
+        updates, matrix = self.round_updates(request, data)
         if not updates:
             return {"round_id": request.round_id, "assignments": {}, "num_clusters": 0}
         k = int(request.params.get("num_clusters", 3))
-        matrix = np.stack([u.weights for u in updates])
         labels, centers = kmeans(matrix, k, seed=request.round_id)
-        assignments = {u.client_id: int(labels[i]) for i, u in enumerate(updates)}
-        sizes = np.bincount(labels, minlength=centers.shape[0]).tolist()
-        inertia = float(
-            sum(np.linalg.norm(matrix[i] - centers[labels[i]]) ** 2 for i in range(len(updates)))
-        )
+        residuals = matrix - centers[labels]
         return {
             "round_id": request.round_id,
-            "assignments": assignments,
+            "assignments": dict(zip([u.client_id for u in updates], labels.tolist())),
             "num_clusters": int(centers.shape[0]),
-            "cluster_sizes": sizes,
-            "inertia": inertia,
+            "cluster_sizes": np.bincount(labels, minlength=centers.shape[0]).tolist(),
+            "inertia": float(np.vdot(residuals, residuals)),
         }

@@ -36,14 +36,14 @@ class CosineSimilarityWorkload(Workload):
 
     def required_keys(self, request: WorkloadRequest, catalog: RoundCatalog) -> list[DataKey]:
         """Every client update of the requested round."""
-        return [DataKey.update(cid, request.round_id) for cid in catalog.participants(request.round_id)]
+        return [
+            DataKey.update(cid, request.round_id) for cid in catalog.participants(request.round_id)
+        ]
 
     def compute(self, request: WorkloadRequest, data: Mapping[DataKey, Any]) -> dict[str, Any]:
-        keys = sorted(k for k in data if k.is_update and k.round_id == request.round_id)
-        updates = self.updates_from(data, keys)
+        updates, matrix = self.round_updates(request, data)
         if not updates:
             return {"round_id": request.round_id, "clients": [], "mean_similarity": 0.0}
-        matrix = np.stack([u.weights for u in updates])
         similarity = pairwise_cosine(matrix)
         off_diagonal = similarity[~np.eye(len(updates), dtype=bool)]
         return {

@@ -7,7 +7,6 @@ hyperparameter-tuning use cases of Table 1.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Any, Mapping
 
 import numpy as np
@@ -15,7 +14,7 @@ import numpy as np
 from repro.fl.catalog import RoundCatalog
 from repro.fl.keys import DataKey
 from repro.fl.metadata import ClientRoundMetadata
-from repro.workloads.base import PolicyClass, Workload, WorkloadRequest
+from repro.workloads.base import PolicyClass, Workload, WorkloadRequest, group_means
 
 
 class HyperparameterTuningWorkload(Workload):
@@ -32,7 +31,9 @@ class HyperparameterTuningWorkload(Workload):
         recent = int(request.params.get("recent_rounds", 10))
         keys: list[DataKey] = []
         for round_id in catalog.recent_rounds(recent, up_to=request.round_id):
-            keys.extend(DataKey.metadata(cid, round_id) for cid in catalog.metadata_clients(round_id))
+            keys.extend(
+                DataKey.metadata(cid, round_id) for cid in catalog.metadata_clients(round_id)
+            )
         return keys
 
     def compute(self, request: WorkloadRequest, data: Mapping[DataKey, Any]) -> dict[str, Any]:
@@ -41,13 +42,20 @@ class HyperparameterTuningWorkload(Workload):
             return {"round_id": request.round_id, "recommended": {}, "num_configurations": 0}
 
         # Group observed configurations by (learning-rate bucket, batch size)
-        # and score each group by mean local accuracy.
-        grouped: dict[tuple[float, int], list[float]] = defaultdict(list)
-        for record in records:
-            lr_bucket = float(10 ** np.round(np.log10(max(record.hyperparameters.learning_rate, 1e-6))))
-            key = (lr_bucket, record.hyperparameters.batch_size)
-            grouped[key].append(record.local_accuracy)
-        scored = {key: float(np.mean(values)) for key, values in grouped.items()}
+        # and score each group by mean local accuracy.  A bucket is the
+        # learning rate rounded to a power of ten; ``slot`` numbers the
+        # (exponent, batch size) groups in order of first appearance.
+        learning_rates = np.array([r.hyperparameters.learning_rate for r in records])
+        exponents = np.round(np.log10(np.maximum(learning_rates, 1e-6))).tolist()
+        slot: dict[tuple[float, int], int] = {}
+        groups = [
+            slot.setdefault((exponent, record.hyperparameters.batch_size), len(slot))
+            for exponent, record in zip(exponents, records)
+        ]
+        means = group_means(
+            np.array([r.local_accuracy for r in records]), np.array(groups), len(slot)
+        )
+        scored = {(10.0**exponent, bs): mean for (exponent, bs), mean in zip(slot, means.tolist())}
         best_key = max(scored, key=scored.get)
         return {
             "round_id": request.round_id,

@@ -33,7 +33,9 @@ class IncentivesWorkload(Workload):
         recent = int(request.params.get("recent_rounds", 10))
         keys: list[DataKey] = []
         for round_id in catalog.recent_rounds(recent, up_to=request.round_id):
-            keys.extend(DataKey.metadata(cid, round_id) for cid in catalog.metadata_clients(round_id))
+            keys.extend(
+                DataKey.metadata(cid, round_id) for cid in catalog.metadata_clients(round_id)
+            )
         return keys
 
     def compute(self, request: WorkloadRequest, data: Mapping[DataKey, Any]) -> dict[str, Any]:
@@ -41,12 +43,14 @@ class IncentivesWorkload(Workload):
         if not records:
             return {"round_id": request.round_id, "payouts": {}, "budget": 0.0}
         budget = float(request.params.get("budget_dollars", 100.0))
+        contributions = (
+            np.array([r.local_accuracy for r in records])
+            * np.log1p([r.num_samples for r in records])
+            * np.where([r.dropped_out for r in records], 0.25, 1.0)
+        )
         scores: dict[int, float] = defaultdict(float)
-        for record in records:
-            contribution = record.local_accuracy * np.log1p(record.num_samples)
-            if record.dropped_out:
-                contribution *= 0.25
-            scores[record.client_id] += float(contribution)
+        for record, contribution in zip(records, contributions.tolist()):
+            scores[record.client_id] += contribution
         total = sum(scores.values()) or 1e-9
         payouts = {cid: budget * score / total for cid, score in scores.items()}
         return {

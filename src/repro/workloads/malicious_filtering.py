@@ -18,6 +18,17 @@ from repro.fl.keys import DataKey
 from repro.workloads.base import PolicyClass, Workload, WorkloadRequest
 
 
+def _median(values: np.ndarray) -> np.ndarray:
+    """``np.median(values, axis=0)`` for finite ``values``, from one sort.
+
+    Equal to ``np.median`` (the mean of the two middle values, or the middle
+    one), without its per-call overhead, which dominates on a round's few rows.
+    """
+    ordered = np.sort(values, axis=0)
+    n = ordered.shape[0]
+    return (ordered[(n - 1) // 2] + ordered[n // 2]) / 2
+
+
 class MaliciousFilteringWorkload(Workload):
     """Flag adversarial updates in a round via robust-distance and alignment tests."""
 
@@ -34,18 +45,18 @@ class MaliciousFilteringWorkload(Workload):
 
     def required_keys(self, request: WorkloadRequest, catalog: RoundCatalog) -> list[DataKey]:
         """Every client update of the requested round."""
-        return [DataKey.update(cid, request.round_id) for cid in catalog.participants(request.round_id)]
+        return [
+            DataKey.update(cid, request.round_id) for cid in catalog.participants(request.round_id)
+        ]
 
     def compute(self, request: WorkloadRequest, data: Mapping[DataKey, Any]) -> dict[str, Any]:
-        keys = sorted(k for k in data if k.is_update and k.round_id == request.round_id)
-        updates = self.updates_from(data, keys)
+        updates, matrix = self.round_updates(request, data)
         if len(updates) < 2:
             return {"round_id": request.round_id, "flagged_clients": [], "scores": {}}
-        matrix = np.stack([u.weights for u in updates])
-        center = np.median(matrix, axis=0)
+        center = _median(matrix)
         distances = np.linalg.norm(matrix - center, axis=1)
-        med = np.median(distances)
-        mad = np.median(np.abs(distances - med)) or 1e-9
+        med = _median(distances)
+        mad = _median(np.abs(distances - med)) or 1e-9
         robust_z = (distances - med) / (1.4826 * mad)
 
         center_norm = np.linalg.norm(center) or 1e-9
@@ -53,21 +64,15 @@ class MaliciousFilteringWorkload(Workload):
         row_norms = np.where(row_norms == 0, 1e-9, row_norms)
         alignments = (matrix @ center) / (row_norms * center_norm)
 
-        flagged = [
-            updates[i].client_id
-            for i in range(len(updates))
-            if robust_z[i] > self.distance_threshold and alignments[i] < self.alignment_threshold
-        ]
+        client_ids = [u.client_id for u in updates]
+        flagged = (robust_z > self.distance_threshold) & (alignments < self.alignment_threshold)
         scores = {
-            updates[i].client_id: {
-                "robust_z": float(robust_z[i]),
-                "alignment": float(alignments[i]),
-            }
-            for i in range(len(updates))
+            client_id: {"robust_z": z, "alignment": alignment}
+            for client_id, z, alignment in zip(client_ids, robust_z.tolist(), alignments.tolist())
         }
         return {
             "round_id": request.round_id,
-            "flagged_clients": sorted(flagged),
+            "flagged_clients": sorted(c for c, bad in zip(client_ids, flagged.tolist()) if bad),
             "scores": scores,
             "num_examined": len(updates),
         }

@@ -28,33 +28,34 @@ class PersonalizationWorkload(Workload):
 
     def required_keys(self, request: WorkloadRequest, catalog: RoundCatalog) -> list[DataKey]:
         """Every client update of the requested round plus its aggregate."""
-        keys = [DataKey.update(cid, request.round_id) for cid in catalog.participants(request.round_id)]
+        keys = [
+            DataKey.update(cid, request.round_id) for cid in catalog.participants(request.round_id)
+        ]
         keys.append(DataKey.aggregate(request.round_id))
         return keys
 
     def compute(self, request: WorkloadRequest, data: Mapping[DataKey, Any]) -> dict[str, Any]:
-        update_keys = sorted(k for k in data if k.is_update and k.round_id == request.round_id)
-        updates = self.updates_from(data, update_keys)
+        updates, matrix = self.round_updates(request, data)
         aggregate_key = DataKey.aggregate(request.round_id)
         if not updates or aggregate_key not in data:
             return {"round_id": request.round_id, "groups": {}, "personalized_models": 0}
         aggregate = data[aggregate_key]
         mix = float(request.params.get("personalization_mix", 0.5))
         k = int(request.params.get("num_groups", 3))
-        matrix = np.stack([u.weights for u in updates])
-        labels, _ = kmeans(matrix, k, seed=request.round_id + 1)
-        groups: dict[int, list[int]] = {}
-        personalized_norms: dict[int, float] = {}
-        for cluster in sorted(set(labels.tolist())):
-            members = [updates[i] for i in range(len(updates)) if labels[i] == cluster]
-            groups[cluster] = sorted(u.client_id for u in members)
-            group_mean = np.stack([u.weights for u in members]).mean(axis=0)
-            personalized = mix * group_mean + (1.0 - mix) * aggregate.weights
-            personalized_norms[cluster] = float(np.linalg.norm(personalized))
+        labels, centers = kmeans(matrix, k, seed=request.round_id + 1)
+        # kmeans leaves every non-empty cluster's center at its members' mean.
+        clusters = np.unique(labels).tolist()
+        personalized = mix * centers[clusters] + (1.0 - mix) * aggregate.weights
+        norms = np.linalg.norm(personalized, axis=1)
+        groups: dict[int, list[int]] = {cluster: [] for cluster in clusters}
+        for label, update in zip(labels.tolist(), updates):
+            groups[label].append(update.client_id)
+        for members in groups.values():
+            members.sort()
         return {
             "round_id": request.round_id,
             "groups": groups,
             "personalized_models": len(groups),
-            "personalized_model_norms": personalized_norms,
+            "personalized_model_norms": dict(zip(clusters, norms.tolist())),
             "mix": mix,
         }

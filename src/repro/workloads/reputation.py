@@ -29,41 +29,49 @@ class ReputationWorkload(Workload):
 
     def required_keys(self, request: WorkloadRequest, catalog: RoundCatalog) -> list[DataKey]:
         """Every client update of the requested round."""
-        return [DataKey.update(cid, request.round_id) for cid in catalog.participants(request.round_id)]
+        return [
+            DataKey.update(cid, request.round_id) for cid in catalog.participants(request.round_id)
+        ]
 
     def compute(self, request: WorkloadRequest, data: Mapping[DataKey, Any]) -> dict[str, Any]:
-        keys = sorted(k for k in data if k.is_update and k.round_id == request.round_id)
-        updates = self.updates_from(data, keys)
-        if len(updates) < 2:
+        updates, matrix = self.round_updates(request, data)
+        n = len(updates)
+        if n < 2:
             return {"round_id": request.round_id, "reputations": {}, "contributions": {}}
-        matrix = np.stack([u.weights for u in updates])
         weights = np.array([float(u.metrics.get("num_samples", 1.0)) for u in updates])
         weights = weights / weights.sum()
         full_aggregate = weights @ matrix
 
-        contributions: dict[int, float] = {}
-        for i, update in enumerate(updates):
-            mask = np.ones(len(updates), dtype=bool)
-            mask[i] = False
-            reduced_weights = weights[mask] / weights[mask].sum()
-            without_i = reduced_weights @ matrix[mask]
-            # Marginal contribution: how much the aggregate moves when the
-            # client is removed (larger movement toward degradation = more
-            # valuable client, negative alignment = harmful client).
-            shift = full_aggregate - without_i
-            alignment = float(
-                np.dot(shift, full_aggregate)
-                / ((np.linalg.norm(shift) or 1e-9) * (np.linalg.norm(full_aggregate) or 1e-9))
-            )
-            contributions[update.client_id] = alignment * float(np.linalg.norm(shift))
+        # Leave-one-out aggregates, all at once: row i of ``others`` lists every
+        # client but i, so ``reduced[i]`` holds the renormalized weights of the
+        # round without client i.  Each batched product below runs the same
+        # BLAS call per row as a one-client-at-a-time loop would, so every
+        # value equals that loop's bit for bit.
+        columns = np.arange(n - 1)
+        others = columns + (columns >= np.arange(n)[:, None])
+        reduced = weights[others]
+        reduced /= reduced.sum(axis=1, keepdims=True)
+        without = np.matmul(reduced[:, None, :], matrix[others])[:, 0, :]
+        # Marginal contribution: how much the aggregate moves when the
+        # client is removed (larger movement toward degradation = more
+        # valuable client, negative alignment = harmful client).
+        shifts = full_aggregate - without
+        shift_norms = np.sqrt(np.matmul(shifts[:, None, :], shifts[:, :, None])[:, 0, 0])
+        toward_full = np.matmul(shifts[:, None, :], full_aggregate[:, None])[:, 0, 0]
+        full_norm = np.linalg.norm(full_aggregate) or 1e-9
+        alignments = toward_full / (np.where(shift_norms == 0, 1e-9, shift_norms) * full_norm)
+        values = alignments * shift_norms
 
-        values = np.array(list(contributions.values()))
-        spread = values.max() - values.min() or 1e-9
-        reputations = {}
-        for update in updates:
-            normalized = (contributions[update.client_id] - values.min()) / spread
-            accuracy = float(update.metrics.get("local_accuracy", 0.5))
-            reputations[update.client_id] = float(np.clip(0.6 * normalized + 0.4 * accuracy, 0.0, 1.0))
+        lowest = values.min()
+        spread = values.max() - lowest or 1e-9
+        accuracies = np.array([float(u.metrics.get("local_accuracy", 0.5)) for u in updates])
+        scores = 0.6 * ((values - lowest) / spread) + 0.4 * accuracies
+        client_ids = [u.client_id for u in updates]
+        contributions = dict(zip(client_ids, values.tolist()))
+        reputations = {
+            client_id: min(max(score, 0.0), 1.0)
+            for client_id, score in zip(client_ids, scores.tolist())
+        }
         return {
             "round_id": request.round_id,
             "contributions": contributions,

@@ -14,7 +14,6 @@ Two schedulers from the paper's evaluation:
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Any, Mapping
 
 import numpy as np
@@ -22,7 +21,7 @@ import numpy as np
 from repro.fl.catalog import RoundCatalog
 from repro.fl.keys import DataKey
 from repro.fl.metadata import ClientRoundMetadata
-from repro.workloads.base import PolicyClass, Workload, WorkloadRequest
+from repro.workloads.base import PolicyClass, Workload, WorkloadRequest, group_means
 from repro.workloads.clustering import kmeans
 
 
@@ -39,31 +38,34 @@ class ClusterSchedulingWorkload(Workload):
         """All updates plus the metadata of the requested round."""
         participants = catalog.participants(request.round_id)
         keys = [DataKey.update(cid, request.round_id) for cid in participants]
-        keys.extend(DataKey.metadata(cid, request.round_id) for cid in catalog.metadata_clients(request.round_id))
+        keys.extend(
+            DataKey.metadata(cid, request.round_id)
+            for cid in catalog.metadata_clients(request.round_id)
+        )
         return keys
 
     def compute(self, request: WorkloadRequest, data: Mapping[DataKey, Any]) -> dict[str, Any]:
-        update_keys = sorted(k for k in data if k.is_update and k.round_id == request.round_id)
-        updates = self.updates_from(data, update_keys)
+        updates, matrix = self.round_updates(request, data)
         if not updates:
             return {"round_id": request.round_id, "tiers": {}, "num_tiers": 0}
         num_tiers = int(request.params.get("num_tiers", 3))
-        matrix = np.stack([u.weights for u in updates])
         labels, _ = kmeans(matrix, num_tiers, seed=request.round_id + 17)
 
-        train_seconds = {}
-        for key, value in data.items():
-            if isinstance(value, ClientRoundMetadata):
-                train_seconds[value.client_id] = value.train_seconds
-
-        tiers: dict[int, list[int]] = defaultdict(list)
-        for i, update in enumerate(updates):
-            tiers[int(labels[i])].append(update.client_id)
+        train_seconds = {
+            value.client_id: value.train_seconds
+            for value in data.values()
+            if isinstance(value, ClientRoundMetadata)
+        }
+        tiers: dict[int, list[int]] = {}
+        for label, update in zip(labels.tolist(), updates):
+            tiers.setdefault(label, []).append(update.client_id)
         tier_speed = {
             tier: float(np.mean([train_seconds.get(cid, 60.0) for cid in members]))
             for tier, members in tiers.items()
         }
-        schedule = [cid for tier in sorted(tier_speed, key=tier_speed.get) for cid in sorted(tiers[tier])]
+        schedule = [
+            cid for tier in sorted(tier_speed, key=tier_speed.get) for cid in sorted(tiers[tier])
+        ]
         return {
             "round_id": request.round_id,
             "tiers": {tier: sorted(members) for tier, members in tiers.items()},
@@ -87,7 +89,9 @@ class PerformanceSchedulingWorkload(Workload):
         recent = int(request.params.get("recent_rounds", 10))
         keys: list[DataKey] = []
         for round_id in catalog.recent_rounds(recent, up_to=request.round_id):
-            keys.extend(DataKey.metadata(cid, round_id) for cid in catalog.metadata_clients(round_id))
+            keys.extend(
+                DataKey.metadata(cid, round_id) for cid in catalog.metadata_clients(round_id)
+            )
         return keys
 
     def compute(self, request: WorkloadRequest, data: Mapping[DataKey, Any]) -> dict[str, Any]:
@@ -97,16 +101,20 @@ class PerformanceSchedulingWorkload(Workload):
         target = int(request.params.get("clients_to_select", 10))
         deadline = float(request.params.get("round_deadline_seconds", 120.0))
 
-        utility: dict[int, list[float]] = defaultdict(list)
-        for record in records:
-            # Oort-style utility: statistical utility (accuracy) discounted by
-            # how badly the client overshoots the round deadline.
-            time_penalty = min(1.0, deadline / max(record.round_duration_seconds, 1e-3))
-            score = record.local_accuracy * record.resources.availability * time_penalty
-            if record.dropped_out:
-                score *= 0.5
-            utility[record.client_id].append(float(score))
-        scores = {cid: float(np.mean(values)) for cid, values in utility.items()}
+        # Oort-style utility: statistical utility (accuracy) discounted by
+        # how badly the client overshoots the round deadline.
+        durations = np.array([r.round_duration_seconds for r in records])
+        time_penalty = np.minimum(1.0, deadline / np.maximum(durations, 1e-3))
+        utility = (
+            np.array([r.local_accuracy for r in records])
+            * np.array([r.resources.availability for r in records])
+            * time_penalty
+            * np.where([r.dropped_out for r in records], 0.5, 1.0)
+        )
+        # Clients in order of first appearance, as ``slot`` numbers them.
+        slot: dict[int, int] = {}
+        groups = np.array([slot.setdefault(r.client_id, len(slot)) for r in records])
+        scores = dict(zip(slot, group_means(utility, groups, len(slot)).tolist()))
         ranked = sorted(scores, key=scores.get, reverse=True)
         return {
             "round_id": request.round_id,
