@@ -12,8 +12,6 @@ actuation, and shard-warmup machinery alongside the serve hot path and the
 shard sweep.
 """
 
-import time
-
 from repro.analysis.experiments import (
     AUTOSCALE_REPORT_COLUMNS,
     compare_autoscale_policies,
@@ -23,23 +21,15 @@ from repro.analysis.perf import merge_bench_json, merge_bench_scalar
 
 
 def test_autoscale_sweep(report):
-    timing = {}
-
-    def run():
-        start = time.perf_counter()
-        result = run_autoscale_sweep(
+    result = report(
+        lambda: run_autoscale_sweep(
             policies=("none", "reactive", "predictive"),
             utilizations=(2.5,),
             num_rounds=12,
             num_requests=160,
             max_queue_depth=6,
             shed_policy="drop",
-        )
-        timing["wall_seconds"] = time.perf_counter() - start
-        return result
-
-    result = report(
-        run,
+        ),
         "Autoscale sweep (resizable serving tier)",
         columns=list(AUTOSCALE_REPORT_COLUMNS),
     )
@@ -53,10 +43,10 @@ def test_autoscale_sweep(report):
             "max_queue_depth": result["max_queue_depth"],
             "shed_policy": result["shed_policy"],
             "control_interval_seconds": result["control_interval_seconds"],
-            "wall_seconds": timing["wall_seconds"],
+            "wall_seconds": report.wall_seconds,
         },
     )
-    merge_bench_scalar("autoscale_wall_seconds", timing["wall_seconds"])
+    merge_bench_scalar("autoscale_wall_seconds", report.wall_seconds)
 
     assert len(rows) == 3  # one row per policy
     by_policy = {row["autoscaler"]: row for row in rows}

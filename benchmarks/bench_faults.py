@@ -11,8 +11,6 @@ the fault-event scheduling, anomaly detection, and shadow-simulation
 machinery alongside the serve hot path and the other sweeps.
 """
 
-import time
-
 from repro.analysis.experiments import (
     FAULT_RECOVERY_COLUMNS,
     compare_fault_recovery,
@@ -22,16 +20,8 @@ from repro.analysis.perf import merge_bench_json, merge_bench_scalar
 
 
 def test_fault_recovery_sweep(report):
-    timing = {}
-
-    def run():
-        start = time.perf_counter()
-        result = run_fault_recovery_sweep(kinds=("shard-crash", "reclamation-storm"))
-        timing["wall_seconds"] = time.perf_counter() - start
-        return result
-
     result = report(
-        run,
+        lambda: run_fault_recovery_sweep(kinds=("shard-crash", "reclamation-storm")),
         "Fault-recovery sweep (fault kind x remediation controller)",
         columns=list(FAULT_RECOVERY_COLUMNS),
     )
@@ -47,10 +37,10 @@ def test_fault_recovery_sweep(report):
             "shards": result["shards"],
             "control_interval_seconds": result["control_interval_seconds"],
             "shadow_requests": result["shadow_requests"],
-            "wall_seconds": timing["wall_seconds"],
+            "wall_seconds": report.wall_seconds,
         },
     )
-    merge_bench_scalar("fault_wall_seconds", timing["wall_seconds"])
+    merge_bench_scalar("fault_wall_seconds", report.wall_seconds)
 
     assert len(rows) == 4  # two fault kinds x controller on/off
     for row in rows:

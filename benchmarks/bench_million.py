@@ -14,7 +14,6 @@ directly.
 
 import resource
 import sys
-import time
 
 from repro.analysis.perf import merge_bench_json, merge_bench_scalar
 from repro.scenario import get_scenario, run
@@ -30,20 +29,12 @@ def _peak_rss_mb() -> float:
 def test_million_request_engine_core(report):
     spec = get_scenario("million-request")
     num_requests = spec.workload.num_requests
-    timing = {}
-
-    def run_million():
-        start = time.perf_counter()
-        result = run(spec)
-        timing["wall_seconds"] = time.perf_counter() - start
-        return {"rows": [result.row()]}
-
     result = report(
-        run_million,
+        lambda: {"rows": [run(spec).row()]},
         f"Engine core: {num_requests:,} requests, streaming metrics, fast path",
     )
     row = result["rows"][0]
-    wall = timing["wall_seconds"]
+    wall = report.wall_seconds
     merge_bench_json(
         "engine_core",
         {

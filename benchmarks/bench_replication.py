@@ -10,24 +10,14 @@ regression-gates the replica-routing overhead alongside the other serving
 benchmarks.
 """
 
-import time
-
 from repro.analysis.perf import merge_bench_json, merge_bench_scalar
 from repro.scenario import get_scenario, sweep
 
 
 def test_replication_sweep(report):
-    timing = {}
-
-    def run():
-        spec = get_scenario("hotkey-replicated")
-        start = time.perf_counter()
-        rows = sweep(spec, axes={"tier.replication.factor": (1, 2)})
-        timing["wall_seconds"] = time.perf_counter() - start
-        return {"rows": rows, "scenario": spec.name}
-
+    spec = get_scenario("hotkey-replicated")
     result = report(
-        run,
+        lambda: {"rows": sweep(spec, axes={"tier.replication.factor": (1, 2)})},
         "Hot-key replication (factor 1 vs 2)",
         columns=[
             "shards",
@@ -44,12 +34,12 @@ def test_replication_sweep(report):
     merge_bench_json(
         "replication",
         {
-            "scenario": result["scenario"],
+            "scenario": spec.name,
             "rows": rows,
-            "wall_seconds": timing["wall_seconds"],
+            "wall_seconds": report.wall_seconds,
         },
     )
-    merge_bench_scalar("replication_wall_seconds", timing["wall_seconds"])
+    merge_bench_scalar("replication_wall_seconds", report.wall_seconds)
 
     base, replicated = rows
     for row in rows:

@@ -8,15 +8,11 @@ asserted — and merges the rows into ``BENCH_serve.json`` under the
 the spec layer's overhead is tracked alongside the sweeps it now powers.
 """
 
-import time
-
 from repro.analysis.perf import merge_bench_json, merge_bench_scalar
 from repro.scenario import ArrivalSpec, ScenarioSpec, TierSpec, WorkloadMixSpec, sweep
 
 
 def test_scenario_sweep(report):
-    timing = {}
-
     base = ScenarioSpec(
         name="bench-router-compare",
         num_rounds=6,
@@ -25,20 +21,9 @@ def test_scenario_sweep(report):
         tier=TierSpec(shards=4, router_kind="consistent-hash"),
     )
 
-    def run():
-        start = time.perf_counter()
-        rows = sweep(
-            base,
-            axes={
-                "tier.router_kind": ("consistent-hash", "jsq"),
-                "arrival.utilization": (1.0, 2.0),
-            },
-        )
-        timing["wall_seconds"] = time.perf_counter() - start
-        return {"rows": rows}
-
+    axes = {"tier.router_kind": ("consistent-hash", "jsq"), "arrival.utilization": (1.0, 2.0)}
     result = report(
-        run,
+        lambda: {"rows": sweep(base, axes=axes)},
         "Scenario sweep (router comparison through the spec API)",
         columns=[
             "scenario",
@@ -55,9 +40,9 @@ def test_scenario_sweep(report):
     rows = result["rows"]
     merge_bench_json(
         "scenario",
-        {"rows": rows, "wall_seconds": timing["wall_seconds"]},
+        {"rows": rows, "wall_seconds": report.wall_seconds},
     )
-    merge_bench_scalar("scenario_wall_seconds", timing["wall_seconds"])
+    merge_bench_scalar("scenario_wall_seconds", report.wall_seconds)
 
     assert len(rows) == 4  # 2 routers x 2 utilization levels
     by_point = {(row["router"], row["utilization"]): row for row in rows}

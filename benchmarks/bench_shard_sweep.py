@@ -10,30 +10,20 @@ regression-gates the routing + admission-control overhead alongside the
 closed-loop serve hot path.
 """
 
-import time
-
 from repro.analysis.experiments import run_shard_sweep
 from repro.analysis.perf import merge_bench_json, merge_bench_scalar
 
 
 def test_shard_sweep(report):
-    timing = {}
-
-    def run():
-        start = time.perf_counter()
-        result = run_shard_sweep(
+    result = report(
+        lambda: run_shard_sweep(
             shard_counts=(1, 2, 4),
             utilizations=(1.0, 2.0),
             num_rounds=8,
             num_requests=48,
             max_queue_depth=4,
             shed_policy="drop",
-        )
-        timing["wall_seconds"] = time.perf_counter() - start
-        return result
-
-    result = report(
-        run,
+        ),
         "Shard sweep (routed serving tier)",
         columns=[
             "shards",
@@ -58,10 +48,10 @@ def test_shard_sweep(report):
             "mean_service_seconds": result["mean_service_seconds"],
             "max_queue_depth": result["max_queue_depth"],
             "shed_policy": result["shed_policy"],
-            "wall_seconds": timing["wall_seconds"],
+            "wall_seconds": report.wall_seconds,
         },
     )
-    merge_bench_scalar("shard_sweep_wall_seconds", timing["wall_seconds"])
+    merge_bench_scalar("shard_sweep_wall_seconds", report.wall_seconds)
 
     assert len(rows) == 6  # 3 shard counts x 2 utilization levels
     for row in rows:

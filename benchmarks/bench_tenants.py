@@ -10,24 +10,14 @@ regression-gates the per-flow scheduling and per-tenant SLO-accounting
 overhead alongside the other serving benchmarks.
 """
 
-import time
-
 from repro.analysis.perf import merge_bench_json, merge_bench_scalar
 from repro.scenario import get_scenario, sweep
 
 
 def test_tenant_sweep(report):
-    timing = {}
-
-    def run():
-        spec = get_scenario("noisy-neighbor")
-        start = time.perf_counter()
-        rows = sweep(spec, axes={"tier.queue_discipline": ("fifo", "wfq", "drr")})
-        timing["wall_seconds"] = time.perf_counter() - start
-        return {"rows": rows, "scenario": spec.name}
-
+    spec = get_scenario("noisy-neighbor")
     result = report(
-        run,
+        lambda: {"rows": sweep(spec, axes={"tier.queue_discipline": ("fifo", "wfq", "drr")})},
         "Multi-tenant isolation (fifo vs wfq vs drr)",
         columns=[
             "served",
@@ -44,12 +34,12 @@ def test_tenant_sweep(report):
     merge_bench_json(
         "tenants",
         {
-            "scenario": result["scenario"],
+            "scenario": spec.name,
             "rows": rows,
-            "wall_seconds": timing["wall_seconds"],
+            "wall_seconds": report.wall_seconds,
         },
     )
-    merge_bench_scalar("tenants_wall_seconds", timing["wall_seconds"])
+    merge_bench_scalar("tenants_wall_seconds", report.wall_seconds)
 
     fifo, wfq, drr = rows
     for row in rows:

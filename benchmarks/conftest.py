@@ -12,6 +12,7 @@ Run with::
 
 from __future__ import annotations
 
+import time
 from typing import Any, Callable, Mapping, Sequence
 
 import pytest
@@ -24,33 +25,43 @@ from repro.analysis.tables import format_table
 tune_gc()
 
 
-def run_and_report(
-    benchmark,
-    experiment: Callable[[], Any],
-    title: str,
-    columns: Sequence[str] | None = None,
-) -> Any:
-    """Run ``experiment`` once under the benchmark timer and print its rows."""
-    result = benchmark.pedantic(experiment, rounds=1, iterations=1)
-    rows = result["rows"] if isinstance(result, Mapping) and "rows" in result else result
-    print()
-    if isinstance(rows, Sequence) and rows and isinstance(rows[0], Mapping):
-        print(format_table(list(rows), columns=columns, title=title))
-    else:
-        print(title)
-        print(rows)
-    if isinstance(result, Mapping):
-        extras = {k: v for k, v in result.items() if k != "rows" and not isinstance(v, (list, dict))}
-        if extras:
-            print("summary:", extras)
-    return result
+class Reporter:
+    """Runs one experiment under the benchmark timer and prints its rows.
+
+    Calling it returns the experiment's result; ``wall_seconds`` then holds
+    the wall time of that run, for the benchmarks that publish it.
+    """
+
+    def __init__(self, benchmark) -> None:
+        self.benchmark = benchmark
+        self.wall_seconds: float | None = None
+
+    def __call__(
+        self,
+        experiment: Callable[[], Any],
+        title: str,
+        columns: Sequence[str] | None = None,
+    ) -> Any:
+        start = time.perf_counter()
+        result = self.benchmark.pedantic(experiment, rounds=1, iterations=1)
+        self.wall_seconds = time.perf_counter() - start
+        rows = result["rows"] if isinstance(result, Mapping) and "rows" in result else result
+        print()
+        if isinstance(rows, Sequence) and rows and isinstance(rows[0], Mapping):
+            print(format_table(list(rows), columns=columns, title=title))
+        else:
+            print(title)
+            print(rows)
+        if isinstance(result, Mapping):
+            extras = {
+                k: v for k, v in result.items() if k != "rows" and not isinstance(v, (list, dict))
+            }
+            if extras:
+                print("summary:", extras)
+        return result
 
 
 @pytest.fixture()
-def report(benchmark):
-    """Fixture wrapping :func:`run_and_report` with the current benchmark."""
-
-    def _report(experiment, title, columns=None):
-        return run_and_report(benchmark, experiment, title, columns)
-
-    return _report
+def report(benchmark) -> Reporter:
+    """A :class:`Reporter` bound to the current benchmark."""
+    return Reporter(benchmark)

@@ -771,6 +771,19 @@ def calibrate_service_time(
     )
 
 
+def _calibrate_sweep(
+    model_name: str,
+    workloads: Sequence[str],
+    num_rounds: int,
+    num_requests: int,
+    seed: int,
+    slo_multiplier: float,
+) -> tuple[float, float | None]:
+    """A sweep's calibrated ``E[S]`` and its SLO, ``slo_multiplier * E[S]`` (None if 0)."""
+    mean_service = calibrate_service_time(model_name, workloads, num_rounds, num_requests, seed)
+    return mean_service, (slo_multiplier * mean_service if slo_multiplier else None)
+
+
 def _legacy_load_row(report: RunReport) -> dict:
     """Project a scenario run onto the historical load-sweep row schema."""
     spec = report.spec
@@ -804,14 +817,9 @@ def run_load_sweep(
     ``workers > 1`` fans them out to worker processes (same rows, input
     order).  Everything is a pure function of ``seed``.
     """
-    mean_service = calibrate_service_time(
-        model_name,
-        workloads=workloads,
-        num_rounds=num_rounds,
-        num_requests=num_requests,
-        seed=seed,
+    mean_service, slo_seconds = _calibrate_sweep(
+        model_name, workloads, num_rounds, num_requests, seed, slo_multiplier
     )
-    slo_seconds = slo_multiplier * mean_service if slo_multiplier else None
     base = ScenarioSpec(
         name="load-sweep",
         model=model_name,
@@ -891,14 +899,9 @@ def run_shard_sweep(
     pinned byte-identical to its pre-spec output at fixed seeds.  Cells are
     independent; ``workers > 1`` fans them out to worker processes.
     """
-    mean_service = calibrate_service_time(
-        model_name,
-        workloads=workloads,
-        num_rounds=num_rounds,
-        num_requests=num_requests,
-        seed=seed,
+    mean_service, slo_seconds = _calibrate_sweep(
+        model_name, workloads, num_rounds, num_requests, seed, slo_multiplier
     )
-    slo_seconds = slo_multiplier * mean_service if slo_multiplier else None
     base = ScenarioSpec(
         name="shard-sweep",
         model=model_name,
@@ -1017,14 +1020,9 @@ def run_autoscale_sweep(
         # Fail before the calibration run and the worker fan-out, not deep
         # inside a cell.
         raise ValueError(f"unknown autoscaler policies {unknown}; expected {AUTOSCALER_KINDS}")
-    mean_service = calibrate_service_time(
-        model_name,
-        workloads=workloads,
-        num_rounds=num_rounds,
-        num_requests=num_requests,
-        seed=seed,
+    mean_service, slo_seconds = _calibrate_sweep(
+        model_name, workloads, num_rounds, num_requests, seed, slo_multiplier
     )
-    slo_seconds = slo_multiplier * mean_service if slo_multiplier else None
     base = ScenarioSpec(
         name="autoscale-sweep",
         model=model_name,
@@ -1155,6 +1153,9 @@ FAULT_RECOVERY_CELLS: tuple[dict, ...] = (
     },
 )
 
+#: The fault kinds of :data:`FAULT_RECOVERY_CELLS`, in sweep order.
+FAULT_RECOVERY_KINDS: tuple[str, ...] = tuple(cell["fault"] for cell in FAULT_RECOVERY_CELLS)
+
 
 def _fault_recovery_row(report: RunReport) -> dict:
     """Project a faulted scenario run onto the recovery-sweep row schema.
@@ -1199,7 +1200,7 @@ FAULT_RECOVERY_COLUMNS: tuple[str, ...] = (
 def run_fault_recovery_sweep(
     model_name: str = "efficientnet_v2_small",
     workloads: Sequence[str] = LOAD_SWEEP_WORKLOADS,
-    kinds: Sequence[str] | None = None,
+    kinds: Sequence[str] = FAULT_RECOVERY_KINDS,
     num_rounds: int = 8,
     num_requests: int = 96,
     seed: int = 7,
@@ -1228,22 +1229,14 @@ def run_fault_recovery_sweep(
     cell.  Cells are independent; ``workers > 1`` fans them out to worker
     processes.
     """
-    known = tuple(cell["fault"] for cell in FAULT_RECOVERY_CELLS)
-    if kinds is None:
-        kinds = known
-    unknown = sorted(set(kinds) - set(known))
+    unknown = sorted(set(kinds) - set(FAULT_RECOVERY_KINDS))
     if unknown:
         # Fail before the calibration run and the worker fan-out, not deep
         # inside a cell.
-        raise ValueError(f"unknown fault kinds {unknown}; expected {known}")
-    mean_service = calibrate_service_time(
-        model_name,
-        workloads=workloads,
-        num_rounds=num_rounds,
-        num_requests=num_requests,
-        seed=seed,
+        raise ValueError(f"unknown fault kinds {unknown}; expected {FAULT_RECOVERY_KINDS}")
+    mean_service, slo_seconds = _calibrate_sweep(
+        model_name, workloads, num_rounds, num_requests, seed, slo_multiplier
     )
-    slo_seconds = slo_multiplier * mean_service if slo_multiplier else None
     rows: list[dict] = []
     for cell in FAULT_RECOVERY_CELLS:
         if cell["fault"] not in kinds:

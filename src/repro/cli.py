@@ -24,10 +24,11 @@ Usage examples::
 from __future__ import annotations
 
 import argparse
+import inspect
 import os
 import sys
-from dataclasses import dataclass
-from typing import Any, Callable
+from dataclasses import dataclass, field
+from typing import Any, Callable, Mapping, Sequence
 
 from repro.analysis import experiments as E
 from repro.analysis import experiments_appendix as A
@@ -64,7 +65,7 @@ from repro.scenario import sweep as scenario_sweep
 from repro.traces.arrivals import ARRIVAL_KINDS
 from repro.workloads.registry import TAXONOMY, WORKLOAD_DISPLAY_NAMES
 
-#: Experiment name -> (callable, description, accepts num_rounds kwarg).
+#: Experiment name -> (callable, description).
 EXPERIMENTS: dict[str, tuple[Callable[..., Any], str]] = {
     "fig1": (E.run_figure1_latency_share, "Non-training share of per-round FL latency"),
     "fig2": (E.run_figure2_cost_share, "Non-training share of per-round FL cost"),
@@ -88,12 +89,6 @@ EXPERIMENTS: dict[str, tuple[Callable[..., Any], str]] = {
     "prefetch": (A.run_ablation_prefetch_depth, "Prefetch-depth ablation (extension)"),
 }
 
-#: Experiments whose runner accepts a ``num_rounds`` keyword.
-_ACCEPTS_ROUNDS = {
-    "fig1", "fig2", "fig4", "fig7", "fig8", "fig9", "fig10", "fig11", "table2",
-    "fig12", "fig13", "fig14", "fig15", "fig16", "fig17", "fig18", "prefetch",
-}
-
 
 @dataclass(frozen=True)
 class _SweepFlag:
@@ -101,8 +96,10 @@ class _SweepFlag:
 
     ``key`` names the scenario-spec field the flag maps onto (axis flags map
     onto the field they sweep), so flag semantics, choices, and help come
-    from the spec layer instead of being hand-triplicated per subcommand;
-    per-sweep parsers override only the *default*.
+    from the spec layer instead of being hand-triplicated per subcommand.
+    ``param`` is the sweep-function keyword the flag fills (by default the
+    flag's own dest).  An axis flag takes a comma list: it parses as text,
+    splits into a tuple of ``type`` items, and checks each against ``choices``.
     """
 
     flag: str
@@ -110,16 +107,33 @@ class _SweepFlag:
     type: Callable[[str], Any] = str
     help: str = ""
     choices: tuple[str, ...] | None = None
+    param: str = ""
+
+    @property
+    def dest(self) -> str:
+        return self.flag.lstrip("-").replace("-", "_")
+
+    @property
+    def comma_list(self) -> bool:
+        return self.key.endswith("(axis)")
 
 
 #: The shared flag catalog of every ``run-*`` sweep subcommand.
 _SWEEP_FLAGS: dict[str, _SweepFlag] = {
     flag.flag: flag
     for flag in (
-        _SweepFlag("--rounds", "num_rounds", int, "number of ingested training rounds"),
-        _SweepFlag("--requests", "workload.num_requests", int, "requests per sweep point"),
+        _SweepFlag(
+            "--rounds", "num_rounds", int, "number of ingested training rounds", param="num_rounds"
+        ),
+        _SweepFlag(
+            "--requests",
+            "workload.num_requests",
+            int,
+            "requests per sweep point",
+            param="num_requests",
+        ),
         _SweepFlag("--seed", "seed", int, "simulation seed"),
-        _SweepFlag("--model", "model", str, "model name"),
+        _SweepFlag("--model", "model", str, "model name", param="model_name"),
         _SweepFlag(
             "--process",
             "arrival.kind",
@@ -132,19 +146,27 @@ _SWEEP_FLAGS: dict[str, _SweepFlag] = {
             "arrival.kind (axis)",
             str,
             f"comma-separated arrival processes ({', '.join(ARRIVAL_KINDS)})",
+            choices=ARRIVAL_KINDS,
         ),
         _SweepFlag(
             "--utilizations",
             "arrival.utilization (axis)",
-            str,
+            float,
             "comma-separated offered utilizations (multiples of the calibrated service rate)",
         ),
-        _SweepFlag("--shards", "tier.shards (axis)", str, "comma-separated shard counts to sweep"),
+        _SweepFlag(
+            "--shards",
+            "tier.shards (axis)",
+            int,
+            "comma-separated shard counts to sweep",
+            param="shard_counts",
+        ),
         _SweepFlag(
             "--policies",
             "tier.autoscaler.policy (axis)",
             str,
             f"comma-separated autoscaling policies ({', '.join(AUTOSCALER_KINDS)})",
+            choices=AUTOSCALER_KINDS,
         ),
         _SweepFlag(
             "--max-queue-depth",
@@ -160,7 +182,12 @@ _SWEEP_FLAGS: dict[str, _SweepFlag] = {
             choices=SHED_POLICIES,
         ),
         _SweepFlag(
-            "--router", "tier.router_kind", str, "key-to-shard placement", choices=ROUTER_KINDS
+            "--router",
+            "tier.router_kind",
+            str,
+            "key-to-shard placement",
+            choices=ROUTER_KINDS,
+            param="router_kind",
         ),
         _SweepFlag(
             "--replication-factor",
@@ -192,6 +219,7 @@ _SWEEP_FLAGS: dict[str, _SweepFlag] = {
             "faults[0].kind (axis)",
             str,
             f"comma-separated fault kinds to inject ({', '.join(FAULT_KINDS)})",
+            choices=E.FAULT_RECOVERY_KINDS,
         ),
         _SweepFlag(
             "--utilization",
@@ -210,11 +238,12 @@ _SWEEP_FLAGS: dict[str, _SweepFlag] = {
             "tier.queue_discipline (axis)",
             str,
             f"comma-separated queue disciplines ({', '.join(QUEUE_DISCIPLINES)})",
+            choices=QUEUE_DISCIPLINES,
         ),
         _SweepFlag(
             "--steady-weights",
             "tenants.steady.weight (axis)",
-            str,
+            float,
             "comma-separated fair-queueing weights for the steady tenant",
         ),
         _SweepFlag(
@@ -228,127 +257,155 @@ _SWEEP_FLAGS: dict[str, _SweepFlag] = {
             "tenants.<name>.num_requests",
             int,
             "per-tenant trace length (overrides every tenant's num_requests)",
+            param="num_requests",
         ),
     )
 }
 
-#: Per-sweep flag exposure: subcommand -> {flag: default}.  This is the
-#: whole difference between the three sweep CLIs; everything else about a
-#: flag lives once in :data:`_SWEEP_FLAGS`.
-_SWEEP_COMMAND_FLAGS: dict[str, dict[str, Any]] = {
-    "run-load": {
-        "--rounds": 12,
-        "--requests": 120,
-        "--seed": 7,
-        "--model": "efficientnet_v2_small",
-        "--processes": ",".join(ARRIVAL_KINDS),
-        "--utilizations": "0.5,1.0,2.0",
-    },
-    "run-shard-sweep": {
-        "--rounds": 12,
-        "--requests": 120,
-        "--seed": 7,
-        "--model": "efficientnet_v2_small",
-        "--process": "bursty",
-        "--shards": "1,2,4",
-        "--utilizations": "0.5,1.0,2.0",
-        "--max-queue-depth": 8,
-        "--shed-policy": "drop",
-        "--router": "consistent-hash",
-        "--replication-factor": 1,
-        "--replication-policy": "none",
-    },
-    "run-autoscale": {
-        "--rounds": 12,
-        "--requests": 160,
-        "--seed": 7,
-        "--model": "efficientnet_v2_small",
-        "--process": "diurnal",
-        "--policies": ",".join(AUTOSCALER_KINDS),
-        "--utilizations": "2.5",
-        "--max-queue-depth": 6,
-        "--shed-policy": "drop",
-        "--start-shards": 1,
-        "--control-interval": 5.0,
-    },
-    "run-faults": {
-        "--rounds": 8,
-        "--requests": 96,
-        "--seed": 7,
-        "--model": "efficientnet_v2_small",
-        "--kinds": ",".join(FAULT_KINDS),
-        "--utilization": 0.7,
-        "--start-shards": 3,
-        "--max-queue-depth": 8,
-        "--shed-policy": "drop",
-        "--control-interval": 5.0,
-        "--shadow-requests": 36,
-    },
-    "run-tenants": {
-        "--rounds": 8,
-        "--seed": 7,
-        "--disciplines": "fifo,wfq,drr",
-        "--steady-weights": "1.0,2.0,4.0",
-        "--bursty-utilization": 1.0,
-        "--tenant-requests": None,
-    },
-}
 
-_SWEEP_COMMAND_HELP: dict[str, tuple[str, str]] = {
-    "run-load": (
-        "open-loop load sweep through the discrete-event engine",
-        "Serve the load-sweep request mix with open-loop arrivals (Poisson, "
+@dataclass(frozen=True)
+class _SweepCommand:
+    """One ``run-*`` subcommand: the sweep function it runs and how it prints.
+
+    The function is the only definition of the sweep: every flag default
+    is read from its signature, except the few in ``defaults`` (argument
+    form) where the CLI's default deliberately differs.  ``params`` maps a
+    flag onto a differently named keyword of this particular function.
+    """
+
+    run: Callable[..., dict]
+    title: str
+    help: str
+    description: str
+    flags: Sequence[str]
+    defaults: Mapping[str, Any] = field(default_factory=dict)
+    params: Mapping[str, str] = field(default_factory=dict)
+    columns: Sequence[str] | None = None
+    compare: Callable[[list[dict]], list[dict]] | None = None
+    compare_title: str = ""
+
+    def param(self, flag: str) -> str:
+        info = _SWEEP_FLAGS[flag]
+        return self.params.get(flag, info.param or info.dest)
+
+    def default(self, flag: str) -> Any:
+        if flag in self.defaults:
+            value = self.defaults[flag]
+        else:
+            value = inspect.signature(self.run).parameters[self.param(flag)].default
+        if _SWEEP_FLAGS[flag].comma_list:
+            return ",".join(str(item) for item in value)
+        return value
+
+
+_SWEEP_COMMANDS: dict[str, _SweepCommand] = {
+    "run-load": _SweepCommand(
+        run=E.run_load_sweep,
+        title="Open-loop load sweep (engine)",
+        help="open-loop load sweep through the discrete-event engine",
+        description="Serve the load-sweep request mix with open-loop arrivals (Poisson, "
         "bursty, diurnal) at several offered utilizations and print offered "
         "load vs goodput, queue depth, and p50/p95/p99 sojourn time.",
+        flags="--rounds --requests --seed --model --processes --utilizations".split(),
     ),
-    "run-shard-sweep": (
-        "shard count x utilization sweep through the routed serving tier",
-        "Serve the load-sweep request mix on a ShardedEngineFLStore at "
+    "run-shard-sweep": _SweepCommand(
+        run=E.run_shard_sweep,
+        title="Shard sweep (routed serving tier)",
+        help="shard count x utilization sweep through the routed serving tier",
+        description="Serve the load-sweep request mix on a ShardedEngineFLStore at "
         "several shard counts and offered utilizations, with per-shard "
         "admission control, and print goodput, p50/p99 sojourn, shed "
         "rate, and SLO-violation rate per sweep cell.",
+        flags=(
+            "--rounds --requests --seed --model --process --shards --utilizations "
+            "--max-queue-depth --shed-policy --router --replication-factor --replication-policy"
+        ).split(),
     ),
-    "run-autoscale": (
-        "autoscaling-policy comparison on the resizable serving tier",
-        "Serve the load-sweep request mix on a resizable ShardedEngineFLStore "
-        "under each autoscaling policy (none, reactive, predictive) and print "
+    "run-autoscale": _SweepCommand(
+        run=E.run_autoscale_sweep,
+        title="Autoscale sweep (resizable serving tier)",
+        help="autoscaling-policy comparison on the resizable serving tier",
+        description="Serve the load-sweep request mix on a resizable ShardedEngineFLStore "
+        "under each autoscaling policy (none, reactive, predictive, slo) and print "
         "p99 sojourn, shed rate, SLO-violation rate, warm-capacity cost, and "
         "scale-event counts per cell, plus the predictive-vs-reactive deltas.",
+        flags=(
+            "--rounds --requests --seed --model --process --policies --utilizations "
+            "--max-queue-depth --shed-policy --start-shards --control-interval"
+        ).split(),
+        # The function keeps the pre-"slo" tuple so its golden never moves.
+        defaults={"--policies": AUTOSCALER_KINDS},
+        columns=E.AUTOSCALE_REPORT_COLUMNS,
+        compare=E.compare_autoscale_policies,
+        compare_title="Predictive vs reactive (same offered load)",
     ),
-    "run-faults": (
-        "fault-injection grid with the closed-loop remediation controller",
-        "Inject each canonical fault (shard crash, reclamation storm, slow "
+    "run-faults": _SweepCommand(
+        run=E.run_fault_recovery_sweep,
+        title="Fault-recovery sweep (fault kind x remediation controller)",
+        help="fault-injection grid with the closed-loop remediation controller",
+        description="Inject each canonical fault (shard crash, reclamation storm, slow "
         "shard, network spike) into the serving tier twice — with and without "
         "the shadow-verified remediation controller — and print time-to-"
         "recovery, goodput dip area, tail latency, and the controller's "
         "accept/reject accounting per cell, plus the on-vs-off deltas.",
+        flags=(
+            "--rounds --requests --seed --model --kinds --utilization --start-shards "
+            "--max-queue-depth --shed-policy --control-interval --shadow-requests"
+        ).split(),
+        params={"--start-shards": "shards"},
+        columns=E.FAULT_RECOVERY_COLUMNS,
+        compare=E.compare_fault_recovery,
+        compare_title="Controller on vs off (same fault, same capacity)",
     ),
-    "run-tenants": (
-        "queue-discipline x tenant-weight sweep on the noisy-neighbor scenario",
-        "Serve the noisy-neighbor scenario — a steady Poisson tenant sharing "
+    "run-tenants": _SweepCommand(
+        run=E.run_tenant_sweep,
+        title="Tenant sweep (queue discipline x steady weight, noisy-neighbor)",
+        help="queue-discipline x tenant-weight sweep on the noisy-neighbor scenario",
+        description="Serve the noisy-neighbor scenario — a steady Poisson tenant sharing "
         "one warm slot with a bursty neighbour at twice its arrival rate — "
         "under each queue discipline (fifo, wfq, drr) and steady-tenant weight, and "
         "print per-tenant p99 sojourn, service share, and SLO-violation "
         "rate per cell, plus the WFQ/DRR-vs-FIFO deltas on the steady "
         "tenant.",
+        flags=(
+            "--rounds --seed --disciplines --steady-weights --bursty-utilization --tenant-requests"
+        ).split(),
+        # The function leaves both to the registered scenario.
+        defaults={"--rounds": 8, "--bursty-utilization": 1.0},
+        columns=E.TENANT_REPORT_COLUMNS,
+        compare=E.compare_tenant_disciplines,
+        compare_title="Weighted fairness vs FIFO (steady tenant)",
     ),
 }
 
 
-def _add_worker_and_out_flags(parser: argparse.ArgumentParser) -> None:
+def _add_worker_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--workers",
         type=int,
         default=None,
-        help="fan independent sweep cells out to this many worker processes",
+        help="fan independent cells out to this many worker processes",
     )
     parser.add_argument(
         "--parallel",
         action="store_true",
         help="shorthand for --workers <CPU count>",
     )
+
+
+def _add_run_flags(parser: argparse.ArgumentParser, recorded: str) -> None:
+    """The execution flags of every sweep subcommand and ``run-scenario``."""
+    _add_worker_flags(parser)
     parser.add_argument(
         "--out", type=str, default=None, help="write results to a .json or .csv file"
+    )
+    parser.add_argument(
+        "--save-artifact",
+        type=str,
+        default=None,
+        metavar="DIR",
+        help=f"record the {recorded} rows as a versioned artifact under DIR "
+        "(keyed by the full flag set; identical re-runs overwrite in place)",
     )
 
 
@@ -398,28 +455,19 @@ def _build_parser() -> argparse.ArgumentParser:
         help="worker-process count for --parallel (default: CPU count); implies --parallel",
     )
 
-    # The three legacy sweeps share one generated flag surface.
-    for command, flag_defaults in _SWEEP_COMMAND_FLAGS.items():
-        help_line, description = _SWEEP_COMMAND_HELP[command]
-        sweep_parser = sub.add_parser(command, help=help_line, description=description)
-        for flag, default in flag_defaults.items():
+    # The sweeps share one generated flag surface.
+    for name, command in _SWEEP_COMMANDS.items():
+        sweep_parser = sub.add_parser(name, help=command.help, description=command.description)
+        for flag in command.flags:
             info = _SWEEP_FLAGS[flag]
             sweep_parser.add_argument(
                 flag,
-                type=info.type,
-                default=default,
-                choices=info.choices,
+                type=str if info.comma_list else info.type,
+                default=command.default(flag),
+                choices=None if info.comma_list else info.choices,
                 help=f"{info.help} [spec: {info.key}]",
             )
-        _add_worker_and_out_flags(sweep_parser)
-        sweep_parser.add_argument(
-            "--save-artifact",
-            type=str,
-            default=None,
-            metavar="DIR",
-            help="record the sweep rows as a versioned artifact under DIR "
-            "(keyed by the full flag set; identical re-runs overwrite in place)",
-        )
+        _add_run_flags(sweep_parser, "sweep")
 
     scenario = sub.add_parser(
         "run-scenario",
@@ -463,15 +511,7 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="shrink rounds/requests for a fast end-to-end validation run (CI uses this)",
     )
-    _add_worker_and_out_flags(scenario)
-    scenario.add_argument(
-        "--save-artifact",
-        type=str,
-        default=None,
-        metavar="DIR",
-        help="record the result rows as a versioned artifact under DIR "
-        "(keyed by the full flag set; identical re-runs overwrite in place)",
-    )
+    _add_run_flags(scenario, "result")
 
     missing = sub.add_parser(
         "run-missing",
@@ -491,15 +531,7 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print the plan (which cells would run and why) without running anything",
     )
-    missing.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="fan cell runs out to this many worker processes",
-    )
-    missing.add_argument(
-        "--parallel", action="store_true", help="shorthand for --workers <CPU count>"
-    )
+    _add_worker_flags(missing)
 
     report = sub.add_parser(
         "report",
@@ -519,6 +551,29 @@ def _build_parser() -> argparse.ArgumentParser:
         help="report output directory (default: <artifacts>/report)",
     )
     return parser
+
+
+def _worker_count(args) -> int | None:
+    """``--workers``, or every CPU under ``--parallel``."""
+    if args.workers is None and args.parallel:
+        return os.cpu_count() or 1
+    return args.workers
+
+
+def _write_out(path: str | None, rows: Any, result: Any) -> None:
+    """Export ``--out``: the rows as CSV for a ``.csv`` path, else the whole result as JSON."""
+    if not path:
+        return
+    if path.endswith(".csv") and isinstance(rows, list):
+        written = export_csv(rows, path)
+    else:
+        written = export_json(result, path)
+    print(f"wrote {written}")
+
+
+def _summary(result: dict) -> dict:
+    """A result's scalar fields, printed after its table."""
+    return {k: v for k, v in result.items() if k != "rows" and not isinstance(v, (list, dict))}
 
 
 def _axis_values(spec: ScenarioSpec, key: str, text: str) -> list:
@@ -583,9 +638,7 @@ def _run_scenario_command(args) -> int:
         message = exc.args[0] if exc.args else exc
         print(f"error: {message}", file=sys.stderr)
         return 2
-    workers = args.workers
-    if workers is None and args.parallel:
-        workers = os.cpu_count() or 1
+    workers = _worker_count(args)
     tune_gc()
     try:
         # Axis values are validated per grid point inside sweep(); a bad
@@ -614,12 +667,7 @@ def _run_scenario_command(args) -> int:
         "summary:",
         {k: v for k, v in result.items() if k not in ("rows", "spec")},
     )
-    if args.out:
-        if args.out.endswith(".csv"):
-            path = export_csv(rows, args.out)
-        else:
-            path = export_json(result, args.out)
-        print(f"wrote {path}")
+    _write_out(args.out, rows, result)
     _maybe_save_sweep_artifact(args, rows)
     return 0
 
@@ -642,24 +690,22 @@ def _maybe_save_sweep_artifact(args, rows: list[dict]) -> None:
     print(f"recorded sweep artifact {path}")
 
 
-def _fleet_experiments(args):
-    return load_fleet(args.fleet) if args.fleet else default_fleet()
+def _open_fleet(args):
+    """The fleet's experiments and artifact store; raises :class:`FleetError` if either is bad."""
+    experiments = load_fleet(args.fleet) if args.fleet else default_fleet()
+    return experiments, ArtifactStore(args.artifacts)
 
 
 def _run_missing_command(args) -> int:
     """The ``run-missing`` subcommand: execute only absent/stale fleet cells."""
     try:
-        experiments = _fleet_experiments(args)
-        store = ArtifactStore(args.artifacts)
+        experiments, store = _open_fleet(args)
     except FleetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    workers = args.workers
-    if workers is None and args.parallel:
-        workers = os.cpu_count() or 1
     tune_gc()
     summary = run_missing(
-        experiments, store, smoke=args.smoke, workers=workers, dry_run=args.dry_run
+        experiments, store, smoke=args.smoke, workers=_worker_count(args), dry_run=args.dry_run
     )
     title = "Fleet plan (dry run)" if args.dry_run else "Fleet run"
     print(format_table(summary["cells"], columns=["cell", "status", "action"], title=title))
@@ -676,8 +722,7 @@ def _run_missing_command(args) -> int:
 def _report_command(args) -> int:
     """The ``report`` subcommand: render Markdown + CSV from stored artifacts."""
     try:
-        experiments = _fleet_experiments(args)
-        store = ArtifactStore(args.artifacts)
+        experiments, store = _open_fleet(args)
     except FleetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -693,14 +738,53 @@ def _report_command(args) -> int:
     return 0
 
 
-def _run_experiment(name: str, rounds: int | None, seed: int | None) -> Any:
-    runner, _ = EXPERIMENTS[name]
+def _sweep_kwargs(command: _SweepCommand, args) -> dict[str, Any]:
+    """Map a ``run-*`` namespace onto the sweep function's keyword arguments.
+
+    Raises :class:`ValueError` naming the first flag with an unknown item.
+    """
     kwargs: dict[str, Any] = {}
-    if rounds is not None and name in _ACCEPTS_ROUNDS:
-        kwargs["num_rounds"] = rounds
-    if seed is not None and name in _ACCEPTS_ROUNDS and name not in {"fig19", "sec55", "sec22"}:
-        kwargs["seed"] = seed
-    return runner(**kwargs)
+    for flag in command.flags:
+        info = _SWEEP_FLAGS[flag]
+        value = getattr(args, info.dest)
+        if info.comma_list:
+            value = tuple(info.type(item.strip()) for item in value.split(",") if item.strip())
+            unknown = sorted(set(value) - set(info.choices)) if info.choices else []
+            if unknown:
+                raise ValueError(
+                    f"unknown {flag} {','.join(unknown)}; "
+                    f"expected a comma list of {', '.join(info.choices)}"
+                )
+        kwargs[command.param(flag)] = value
+    return kwargs
+
+
+def _run_sweep_command(command: _SweepCommand, args) -> int:
+    """Every ``run-*`` sweep: run its function, print, export, record."""
+    try:
+        kwargs = _sweep_kwargs(command, args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    tune_gc()
+    result = command.run(**kwargs, workers=_worker_count(args))
+    rows = result["rows"]
+    print(format_table(rows, columns=command.columns, title=command.title))
+    comparisons = command.compare(rows) if command.compare else []
+    if comparisons:
+        print(format_table(comparisons, title=command.compare_title))
+    print("summary:", _summary(result))
+    _write_out(args.out, rows, result)
+    _maybe_save_sweep_artifact(args, rows)
+    return 0
+
+
+def _run_experiment(name: str, rounds: int | None, seed: int | None) -> Any:
+    """Run one experiment, passing ``--rounds``/``--seed`` where its runner takes them."""
+    runner, _ = EXPERIMENTS[name]
+    kwargs = {"num_rounds": rounds, "seed": seed}
+    accepted = inspect.signature(runner).parameters
+    return runner(**{k: v for k, v in kwargs.items() if v is not None and k in accepted})
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -729,152 +813,12 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "report":
         return _report_command(args)
 
-    tune_gc()
-    if args.command in ("run-load", "run-shard-sweep", "run-autoscale", "run-faults", "run-tenants"):
-        workers = args.workers
-        if workers is None and args.parallel:
-            workers = os.cpu_count() or 1
-        columns = None
-        extra_tables = []
-        if args.command == "run-autoscale":
-            title = "Autoscale sweep (resizable serving tier)"
-            policies = tuple(p.strip() for p in args.policies.split(",") if p.strip())
-            unknown = sorted(set(policies) - set(AUTOSCALER_KINDS))
-            if unknown:
-                print(
-                    f"error: unknown --policies {','.join(unknown)}; "
-                    f"expected a comma list of {', '.join(AUTOSCALER_KINDS)}",
-                    file=sys.stderr,
-                )
-                return 2
-            result = E.run_autoscale_sweep(
-                model_name=args.model,
-                process=args.process,
-                policies=policies,
-                utilizations=tuple(float(u) for u in args.utilizations.split(",") if u.strip()),
-                num_rounds=args.rounds,
-                num_requests=args.requests,
-                seed=args.seed,
-                max_queue_depth=args.max_queue_depth,
-                shed_policy=args.shed_policy,
-                start_shards=args.start_shards,
-                control_interval=args.control_interval,
-                workers=workers,
-            )
-            columns = list(E.AUTOSCALE_REPORT_COLUMNS)
-            comparisons = E.compare_autoscale_policies(result["rows"])
-            if comparisons:
-                extra_tables.append(
-                    format_table(comparisons, title="Predictive vs reactive (same offered load)")
-                )
-        elif args.command == "run-faults":
-            title = "Fault-recovery sweep (fault kind x remediation controller)"
-            kinds = tuple(k.strip() for k in args.kinds.split(",") if k.strip())
-            known = tuple(cell["fault"] for cell in E.FAULT_RECOVERY_CELLS)
-            unknown = sorted(set(kinds) - set(known))
-            if unknown:
-                print(
-                    f"error: unknown --kinds {','.join(unknown)}; "
-                    f"expected a comma list of {', '.join(known)}",
-                    file=sys.stderr,
-                )
-                return 2
-            result = E.run_fault_recovery_sweep(
-                model_name=args.model,
-                kinds=kinds,
-                num_rounds=args.rounds,
-                num_requests=args.requests,
-                seed=args.seed,
-                utilization=args.utilization,
-                shards=args.start_shards,
-                max_queue_depth=args.max_queue_depth,
-                shed_policy=args.shed_policy,
-                control_interval=args.control_interval,
-                shadow_requests=args.shadow_requests,
-                workers=workers,
-            )
-            columns = list(E.FAULT_RECOVERY_COLUMNS)
-            comparisons = E.compare_fault_recovery(result["rows"])
-            if comparisons:
-                extra_tables.append(
-                    format_table(
-                        comparisons, title="Controller on vs off (same fault, same capacity)"
-                    )
-                )
-        elif args.command == "run-tenants":
-            title = "Tenant sweep (queue discipline x steady weight, noisy-neighbor)"
-            disciplines = tuple(d.strip() for d in args.disciplines.split(",") if d.strip())
-            unknown = sorted(set(disciplines) - set(QUEUE_DISCIPLINES))
-            if unknown:
-                print(
-                    f"error: unknown --disciplines {','.join(unknown)}; "
-                    f"expected a comma list of {', '.join(QUEUE_DISCIPLINES)}",
-                    file=sys.stderr,
-                )
-                return 2
-            result = E.run_tenant_sweep(
-                disciplines=disciplines,
-                steady_weights=tuple(
-                    float(w) for w in args.steady_weights.split(",") if w.strip()
-                ),
-                bursty_utilization=args.bursty_utilization,
-                num_rounds=args.rounds,
-                num_requests=args.tenant_requests,
-                seed=args.seed,
-                workers=workers,
-            )
-            columns = list(E.TENANT_REPORT_COLUMNS)
-            comparisons = E.compare_tenant_disciplines(result["rows"])
-            if comparisons:
-                extra_tables.append(
-                    format_table(comparisons, title="Weighted fairness vs FIFO (steady tenant)")
-                )
-        elif args.command == "run-load":
-            title = "Open-loop load sweep (engine)"
-            result = E.run_load_sweep(
-                model_name=args.model,
-                processes=tuple(p.strip() for p in args.processes.split(",") if p.strip()),
-                utilizations=tuple(float(u) for u in args.utilizations.split(",") if u.strip()),
-                num_rounds=args.rounds,
-                num_requests=args.requests,
-                seed=args.seed,
-                workers=workers,
-            )
-        else:
-            title = "Shard sweep (routed serving tier)"
-            result = E.run_shard_sweep(
-                model_name=args.model,
-                process=args.process,
-                shard_counts=tuple(int(s) for s in args.shards.split(",") if s.strip()),
-                utilizations=tuple(float(u) for u in args.utilizations.split(",") if u.strip()),
-                num_rounds=args.rounds,
-                num_requests=args.requests,
-                seed=args.seed,
-                max_queue_depth=args.max_queue_depth,
-                shed_policy=args.shed_policy,
-                router_kind=args.router,
-                replication_factor=args.replication_factor,
-                replication_policy=args.replication_policy,
-                workers=workers,
-            )
-        print(format_table(result["rows"], columns=columns, title=title))
-        for table in extra_tables:
-            print(table)
-        print(
-            "summary:",
-            {k: v for k, v in result.items() if k != "rows" and not isinstance(v, (list, dict))},
-        )
-        if args.out:
-            if args.out.endswith(".csv"):
-                path = export_csv(result["rows"], args.out)
-            else:
-                path = export_json(result, args.out)
-            print(f"wrote {path}")
-        _maybe_save_sweep_artifact(args, result["rows"])
-        return 0
+    if args.command in _SWEEP_COMMANDS:
+        return _run_sweep_command(_SWEEP_COMMANDS[args.command], args)
 
+    tune_gc()
     if args.parallel or args.workers is not None:
-        set_max_workers(args.workers if args.workers is not None else (os.cpu_count() or 1))
+        set_max_workers(_worker_count(args))
 
     result = _run_experiment(args.experiment, args.rounds, args.seed)
     rows = result["rows"] if isinstance(result, dict) and "rows" in result else result
@@ -885,16 +829,11 @@ def main(argv: list[str] | None = None) -> int:
         print(title)
         print(rows)
     if isinstance(result, dict):
-        extras = {k: v for k, v in result.items() if k != "rows" and not isinstance(v, (list, dict))}
+        extras = _summary(result)
         if extras:
             print("summary:", extras)
 
-    if args.out:
-        if args.out.endswith(".csv") and isinstance(rows, list):
-            path = export_csv(rows, args.out)
-        else:
-            path = export_json(result, args.out)
-        print(f"wrote {path}")
+    _write_out(args.out, rows, result)
     return 0
 
 

@@ -190,29 +190,30 @@ def build_tier(spec: ScenarioSpec) -> Tier:
     * plain topology (``tier.router_kind is None``): one fully ingested
       ``FLStore`` behind an ``EngineFLStore`` facade;
     * sharded topology: ``tier.shards`` independent fully ingested stores
-      behind a ``ShardedEngineFLStore`` with the named router;
-    * autoscaled topology: the sharded tier made resizable (shard factory +
-      warm-round replay) with an :class:`Autoscaler` attached — ``run``
-      starts the control loop on the shared virtual timeline.
+      behind a resizable ``ShardedEngineFLStore`` (shard factory + warm-round
+      replay) with the named router;
+    * autoscaled topology: the sharded tier with an :class:`Autoscaler`
+      attached — ``run`` starts the control loop on the shared virtual
+      timeline.
 
-    A sharded tier with fault clauses or remediation enabled is also built
-    resizable: a ``shard-crash`` retires a live shard and the controller's
-    ``add-shard`` actuation re-provisions one, both of which need the shard
-    factory.  Resizability alone changes no behavior — an untouched
-    resizable tier runs byte-identical to a fixed one.
+    Every sharded tier is resizable, because an autoscaler, a
+    ``shard-crash`` fault or the remediation controller's ``add-shard``
+    actuation needs the shard factory.  Resizability alone changes no
+    behavior — an untouched resizable tier runs byte-identical to a fixed
+    one.
     """
     config = scenario_config(spec)
     mean_service = calibrate(spec)
+    slo_seconds = spec.slo_multiplier * mean_service if spec.slo_multiplier else None
     setups = [
         prepare_setup(config, num_rounds=spec.num_rounds, systems=("flstore",))
         for _ in range(spec.tier.shards)
     ]
     generator = setups[0].generator
     autoscaler = None
-    resizable = spec.tier.autoscaler.enabled or bool(spec.faults) or spec.remediation.enabled
     if not spec.tier.sharded:
         store = EngineFLStore(setups[0].flstore)
-    elif resizable:
+    else:
         store = ShardedEngineFLStore(
             [setup.flstore for setup in setups],
             router=make_router(spec.tier.router_kind, spec.tier.shards),
@@ -230,14 +231,6 @@ def build_tier(spec: ScenarioSpec) -> Tier:
                 spec.tier.autoscaler.policy, autoscale_config, mean_service_seconds=mean_service
             )
             autoscaler = Autoscaler(store, policy, autoscale_config)
-    else:
-        store = ShardedEngineFLStore(
-            [setup.flstore for setup in setups],
-            router=make_router(spec.tier.router_kind, spec.tier.shards),
-            replication_factor=spec.tier.replication.factor,
-            replication_policy=spec.tier.replication.policy,
-            hot_threshold=spec.tier.replication.hot_threshold,
-        )
     if spec.tenants:
         store.configure_tenants(
             {tenant.name: tenant.weight for tenant in spec.tenants},
@@ -252,9 +245,7 @@ def build_tier(spec: ScenarioSpec) -> Tier:
         # The SLO policy acts on violation deltas; arm tier-lifetime
         # violation counting against the spec's SLO (per-tenant SLOs, when
         # configured above, take precedence per tenant).
-        store.watch_slo_seconds = (
-            spec.slo_multiplier * mean_service if spec.slo_multiplier else None
-        )
+        store.watch_slo_seconds = slo_seconds
     fault_plan = None
     if spec.faults:
         clauses = [
@@ -278,7 +269,7 @@ def build_tier(spec: ScenarioSpec) -> Tier:
                 cooldown_seconds=spec.remediation.cooldown_seconds,
                 max_actions=spec.remediation.max_actions,
             ),
-            slo_seconds=spec.slo_multiplier * mean_service if spec.slo_multiplier else None,
+            slo_seconds=slo_seconds,
             nominal_shards=spec.tier.shards,
             nominal_slots=spec.tier.function_concurrency,
             shadow_runner=make_shadow_runner(spec, mean_service),
@@ -660,28 +651,19 @@ def run(spec: ScenarioSpec) -> RunReport:
             extras["fault_plan"] = tier.fault_plan
         if tier.remediation is not None:
             extras["remediation"] = tier.remediation
+        label = spec.arrival.kind
         if tier.autoscaler is not None:
-            label = f"{spec.arrival.kind}/{spec.tier.autoscaler.policy}"
-            report = tier.store.run_open_loop(
-                trace,
-                arrivals,
-                label=label,
-                keepalive=True,
-                slo_seconds=slo_seconds,
-                autoscaler=tier.autoscaler,
-                metrics=spec.metrics,
-                **extras,
-            )
-        else:
-            report = tier.store.run_open_loop(
-                trace,
-                arrivals,
-                label=spec.arrival.kind,
-                keepalive=True,
-                slo_seconds=slo_seconds,
-                metrics=spec.metrics,
-                **extras,
-            )
+            extras["autoscaler"] = tier.autoscaler
+            label = f"{label}/{spec.tier.autoscaler.policy}"
+        report = tier.store.run_open_loop(
+            trace,
+            arrivals,
+            label=label,
+            keepalive=True,
+            slo_seconds=slo_seconds,
+            metrics=spec.metrics,
+            **extras,
+        )
     if not report.conserved:
         raise RuntimeError(
             f"conservation violated in scenario {spec.name!r}: "

@@ -53,17 +53,24 @@ class ArrivalProcess(abc.ABC):
         self.rate_rps = float(rate_rps)
         self.seed = seed
 
-    @abc.abstractmethod
+    @property
+    def mean_rate_rps(self) -> float:
+        """Long-run average arrival rate, the nominal ``rate_rps``.
+
+        Bursty ON rates are scaled so the ON/OFF average is ``rate_rps``, and
+        the diurnal sinusoid integrates to zero over a period.
+        """
+        return self.rate_rps
+
     def times(self, num_requests: int) -> list[float]:
         """The first ``num_requests`` arrival instants, starting at >= 0."""
+        if num_requests <= 0:
+            return []
+        return self.times_array(num_requests).tolist()
 
+    @abc.abstractmethod
     def times_array(self, num_requests: int) -> np.ndarray:
-        """The same instants as :meth:`times`, as one float64 ndarray.
-
-        Subclasses override this with a vectorized generator where the RNG
-        stream allows; the default materializes through :meth:`times`.
-        """
-        return np.asarray(self.times(num_requests), dtype=np.float64)
+        """The same instants as :meth:`times`, as one float64 ndarray."""
 
     def _rng(self, *streams: object) -> np.random.Generator:
         return derive_rng(self.seed, "arrivals", self.name, self.rate_rps, *streams)
@@ -77,22 +84,12 @@ class PoissonArrivals(ArrivalProcess):
 
     name = "poisson"
 
-    def times(self, num_requests: int) -> list[float]:
-        if num_requests <= 0:
-            return []
-        return self.times_array(num_requests).tolist()
-
     def times_array(self, num_requests: int) -> np.ndarray:
         """One batched draw and one cumsum: the fully vectorized case."""
         if num_requests <= 0:
             return np.empty(0, dtype=np.float64)
         gaps = self._rng().exponential(scale=1.0 / self.rate_rps, size=num_requests)
         return np.cumsum(gaps)
-
-    @property
-    def mean_rate_rps(self) -> float:
-        """Long-run average arrival rate."""
-        return self.rate_rps
 
 
 class BurstyArrivals(ArrivalProcess):
@@ -122,16 +119,6 @@ class BurstyArrivals(ArrivalProcess):
         duty_cycle = mean_on_seconds / (mean_on_seconds + mean_off_seconds)
         #: Arrival rate while the source is ON (compensates the OFF idle time).
         self.burst_rate_rps = rate_rps / duty_cycle
-
-    @property
-    def mean_rate_rps(self) -> float:
-        """Long-run average arrival rate (the nominal ``rate_rps``)."""
-        return self.rate_rps
-
-    def times(self, num_requests: int) -> list[float]:
-        if num_requests <= 0:
-            return []
-        return self.times_array(num_requests).tolist()
 
     def times_array(self, num_requests: int) -> np.ndarray:
         """Vectorized ON/OFF window sampling, byte-identical to the scalar loop.
@@ -244,20 +231,10 @@ class DiurnalArrivals(ArrivalProcess):
         self.amplitude = amplitude
         self.period_seconds = period_seconds
 
-    @property
-    def mean_rate_rps(self) -> float:
-        """Long-run average arrival rate (the sinusoid integrates to zero)."""
-        return self.rate_rps
-
     def _rate_at(self, t: float) -> float:
         return self.rate_rps * (
             1.0 + self.amplitude * np.sin(2.0 * np.pi * t / self.period_seconds)
         )
-
-    def times(self, num_requests: int) -> list[float]:
-        if num_requests <= 0:
-            return []
-        return self.times_array(num_requests).tolist()
 
     def times_array(self, num_requests: int) -> np.ndarray:
         """Lewis-Shedler thinning into a preallocated ndarray.

@@ -1,4 +1,4 @@
-"""Multi-tenant FLStore and the framework-integration adapter."""
+"""The framework-integration adapter."""
 
 from __future__ import annotations
 
@@ -7,64 +7,7 @@ import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.core.flstore import build_default_flstore
-from repro.core.multitenant import MultiTenantFLStore
 from repro.integrations.adapter import FrameworkAdapter, RoundEvent
-
-
-class TestMultiTenantFLStore:
-    @pytest.fixture()
-    def manager(self, small_config):
-        return MultiTenantFLStore(small_config)
-
-    def test_register_and_list_tenants(self, manager):
-        manager.register_tenant("team-a")
-        manager.register_tenant("team-b", policy_mode="lru")
-        assert manager.tenants() == ["team-a", "team-b"]
-        assert len(manager) == 2
-        assert manager.tenant("team-b").policy_mode == "lru"
-
-    def test_duplicate_registration_rejected(self, manager):
-        manager.register_tenant("team-a")
-        with pytest.raises(ValueError):
-            manager.register_tenant("team-a")
-
-    def test_unknown_tenant_raises(self, manager):
-        with pytest.raises(KeyError):
-            manager.tenant("ghost")
-
-    def test_tenant_isolation(self, manager, rounds):
-        manager.register_tenant("team-a")
-        manager.register_tenant("team-b")
-        for record in rounds[:3]:
-            manager.ingest_round("team-a", record)
-        assert manager.tenant("team-a").flstore.cached_bytes > 0
-        assert manager.tenant("team-b").flstore.cached_bytes == 0
-        assert manager.tenant("team-a").rounds_ingested == 3
-        assert manager.tenant("team-b").rounds_ingested == 0
-
-    def test_serve_routes_to_the_right_tenant(self, manager, rounds):
-        manager.register_tenant("team-a")
-        for record in rounds[:3]:
-            manager.ingest_round("team-a", record)
-        flstore = manager.tenant("team-a").flstore
-        result = manager.serve("team-a", flstore.make_request("malicious_filtering", round_id=2))
-        assert result.cache_hits > 0
-        assert manager.tenant("team-a").requests_served == 1
-
-    def test_usage_report_and_costs(self, manager, rounds):
-        manager.register_tenant("team-a")
-        manager.ingest_round("team-a", rounds[0])
-        report = manager.usage_report()
-        assert report[0]["tenant"] == "team-a"
-        assert report[0]["cached_mb"] > 0
-        assert manager.total_cached_bytes() > 0
-        assert manager.standby_cost(50.0).total_dollars < 0.1
-
-    def test_remove_tenant(self, manager):
-        manager.register_tenant("team-a")
-        assert manager.remove_tenant("team-a") is True
-        assert manager.remove_tenant("team-a") is False
-        assert manager.tenants() == []
 
 
 class TestFrameworkAdapter:
@@ -120,50 +63,3 @@ class TestFrameworkAdapter:
         assert result.cache_misses == 0
         assert len(result.result["clients"]) == 4
 
-
-class TestTenantClocks:
-    @pytest.fixture()
-    def populated(self, small_config, rounds):
-        manager = MultiTenantFLStore(small_config)
-        manager.register_tenant("tenant-a")
-        manager.register_tenant("tenant-b")
-        for record in rounds[:3]:
-            manager.ingest_round("tenant-a", record)
-            manager.ingest_round("tenant-b", record)
-        return manager
-
-    @staticmethod
-    def _request(manager, tenant_id):
-        return manager.tenant(tenant_id).flstore.make_request("inference", round_id=2)
-
-    def test_serve_accepts_now_and_advances_only_that_tenant(self, populated):
-        clock_a = populated.tenant("tenant-a").flstore.clock
-        clock_b = populated.tenant("tenant-b").flstore.clock
-        assert clock_a is not clock_b
-        populated.serve("tenant-a", self._request(populated, "tenant-a"), now=100.0)
-        assert clock_a.now() >= 100.0
-        assert clock_b.now() < 100.0  # tenant-b's clock never moved
-
-    def test_interleaved_tenants_keep_independent_timelines(self, populated):
-        clock_a = populated.tenant("tenant-a").flstore.clock
-        clock_b = populated.tenant("tenant-b").flstore.clock
-        populated.serve("tenant-a", self._request(populated, "tenant-a"), now=200.0)
-        a_after_first = clock_a.now()
-        populated.serve("tenant-b", self._request(populated, "tenant-b"), now=50.0)
-        # Serving tenant-b advances only its own clock, to its own timestamp.
-        assert clock_a.now() == a_after_first
-        assert 50.0 <= clock_b.now() < a_after_first
-
-    def test_now_is_monotonic_per_tenant(self, populated):
-        clock_a = populated.tenant("tenant-a").flstore.clock
-        populated.serve("tenant-a", self._request(populated, "tenant-a"), now=300.0)
-        reached = clock_a.now()
-        # A stale timestamp must not rewind the tenant's clock.
-        populated.serve("tenant-a", self._request(populated, "tenant-a"), now=10.0)
-        assert clock_a.now() >= reached
-
-    def test_ingest_round_accepts_now(self, small_config, fresh_rounds):
-        manager = MultiTenantFLStore(small_config)
-        manager.register_tenant("tenant-a")
-        manager.ingest_round("tenant-a", fresh_rounds[0], now=42.0)
-        assert manager.tenant("tenant-a").flstore.clock.now() >= 42.0

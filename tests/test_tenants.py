@@ -6,8 +6,7 @@ weighted-fairness property of the ``wfq``/``drr`` queue disciplines, the
 seed-7 noisy-neighbor isolation pin (a bursty tenant doubling its offered
 load cannot move the steady tenant's p99 by more than its fair share under
 WFQ/DRR, while FIFO demonstrably violates the steady tenant's SLO), the
-``slo`` autoscaler policy, report serialization for tenant runs, and the
-deprecation shim over the legacy ``MultiTenantFLStore``.
+``slo`` autoscaler policy, and report serialization for tenant runs.
 """
 
 from __future__ import annotations
@@ -17,8 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import experiments as E
-from repro.config import SimulationConfig
-from repro.core.multitenant import MultiTenantFLStore
 from repro.engine.autoscale import (
     AUTOSCALER_KINDS,
     AutoscaleConfig,
@@ -459,22 +456,3 @@ def test_run_tenant_sweep_rejects_unknown_disciplines():
     with pytest.raises(ValueError, match="unknown queue disciplines"):
         E.run_tenant_sweep(disciplines=("fifo", "lifo"))
 
-
-# ---------------------------------------------------------------------------
-# The deprecated MultiTenantFLStore shim
-# ---------------------------------------------------------------------------
-
-
-class TestMultiTenantDeprecation:
-    def test_construction_warns_with_the_replacement_snippet(self):
-        with pytest.warns(DeprecationWarning, match="TenantSpec"):
-            MultiTenantFLStore(SimulationConfig())
-
-    def test_scenario_spec_bridges_registered_tenants(self):
-        with pytest.warns(DeprecationWarning):
-            manager = MultiTenantFLStore(SimulationConfig())
-        manager.register_tenant("team-b")
-        manager.register_tenant("team-a")
-        spec = manager.scenario_spec(name="converted")
-        assert isinstance(spec, ScenarioSpec)
-        assert [t.name for t in spec.tenants] == ["team-a", "team-b"]
