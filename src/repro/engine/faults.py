@@ -44,6 +44,7 @@ the remediation controller (:mod:`repro.engine.remediate`).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -86,19 +87,13 @@ class FaultClause:
         if self.onset_seconds < 0:
             raise ConfigurationError(f"fault onset must be >= 0, got {self.onset_seconds}")
         if self.duration_seconds < 0:
-            raise ConfigurationError(
-                f"fault duration must be >= 0, got {self.duration_seconds}"
-            )
+            raise ConfigurationError(f"fault duration must be >= 0, got {self.duration_seconds}")
         if self.magnitude <= 0:
             raise ConfigurationError(f"fault magnitude must be > 0, got {self.magnitude}")
         if self.interval_seconds <= 0:
-            raise ConfigurationError(
-                f"fault interval must be > 0, got {self.interval_seconds}"
-            )
+            raise ConfigurationError(f"fault interval must be > 0, got {self.interval_seconds}")
         if self.zipf_exponent <= 1.0:
-            raise ConfigurationError(
-                f"fault zipf_exponent must be > 1, got {self.zipf_exponent}"
-            )
+            raise ConfigurationError(f"fault zipf_exponent must be > 1, got {self.zipf_exponent}")
         if (
             self.kind in ("reclamation-storm", "slow-shard", "network-spike")
             and self.duration_seconds == 0
@@ -208,9 +203,7 @@ class FaultPlan:
                 chosen = rng.choice(warm, size=count, replace=False)
                 reclaimed = engine.force_reclaim(str(fid) for fid in chosen)
                 total += len(reclaimed)
-            self._record(
-                index, clause.kind, f"burst reclaimed {total} warm functions tier-wide"
-            )
+            self._record(index, clause.kind, f"burst reclaimed {total} warm functions tier-wide")
             next_at = self.tier.loop.now + clause.interval_seconds
             if next_at <= window_end:
                 self.tier.loop.schedule_at(next_at, _burst)
@@ -346,22 +339,25 @@ def compute_recovery_metrics(
     healthy serving rate whenever the tier keeps up); when ``None``, the
     baseline is estimated as the mean served rate over the pre-onset span —
     a noisy estimate when few requests complete before onset.
+
+    ``outcomes`` need not be sorted.  The served completion times are sorted
+    once; every count after that is a binary search, exact because for a
+    sorted list ``bisect_left(times, x)`` is the number of times ``< x``, so
+    a half-open window ``[lo, hi)`` holds ``bisect_left(hi) -
+    bisect_left(lo)`` of them.  Cost: O(N log N + W log N) for N served
+    completions and W windows, where a per-window scan would be O(N x W).
     """
     if window_seconds <= 0:
         raise ConfigurationError(f"window_seconds must be > 0, got {window_seconds}")
     if not 0 < recovery_fraction <= 1:
-        raise ConfigurationError(
-            f"recovery_fraction must be in (0, 1], got {recovery_fraction}"
-        )
-    served_times = sorted(
-        o.completed_at for o in outcomes if o.disposition == "served"
-    )
+        raise ConfigurationError(f"recovery_fraction must be in (0, 1], got {recovery_fraction}")
+    served_times = sorted(o.completed_at for o in outcomes if o.disposition == "served")
     if baseline_goodput_rps is not None:
         baseline = baseline_goodput_rps
     else:
         start = min((o.arrived_at for o in outcomes), default=0.0)
         pre_span = onset_seconds - start
-        pre_count = sum(1 for t in served_times if t < onset_seconds)
+        pre_count = bisect_left(served_times, onset_seconds)
         baseline = pre_count / pre_span if pre_span > 0 else 0.0
     horizon = end_seconds - onset_seconds
     if horizon <= 0 or baseline == 0.0:
@@ -382,13 +378,15 @@ def compute_recovery_metrics(
         width = hi - lo
         if width <= 0:
             break
-        count = sum(1 for t in served_times if lo <= t < hi)
+        count = bisect_left(served_times, hi) - bisect_left(served_times, lo)
         dip_area += max(0.0, baseline - count / width) * width
     # Cumulative catch-up clock: the rate-since-onset ratio decays between
     # completions and jumps at each one, so its local minima sit just before
     # each completion and at the horizon — checking those points finds the
     # last instant the run was still behind.
-    post = [t for t in served_times if onset_seconds < t <= end_seconds]
+    post = served_times[
+        bisect_right(served_times, onset_seconds) : bisect_right(served_times, end_seconds)
+    ]
     last_below = 0.0
     for index, t in enumerate(post):
         elapsed = t - onset_seconds

@@ -475,6 +475,11 @@ class ScenarioSpec:
                         f"{self.tier.shards}-shard tier would crash the last "
                         "shard; at least one shard must survive"
                     )
+        if self.faults and self.metrics == "streaming":
+            _fail(
+                'fault clauses need metrics="full": recovery metrics read per-request '
+                'completion times, which metrics="streaming" does not retain'
+            )
         object.__setattr__(self, "tenants", tuple(self.tenants))
         seen_tenants: set[str] = set()
         for index, tenant in enumerate(self.tenants):

@@ -167,6 +167,13 @@ class TestCli:
         assert [row["router"] for row in rows] == ["consistent-hash", "jsq"]
         assert all(row["conserved"] for row in rows)
 
+    def test_run_scenario_rejects_faults_with_streaming_metrics(self, capsys):
+        argv = ["run-scenario", "--name", "fault-recovery", "--set", "metrics=streaming"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert 'error: fault clauses need metrics="full"' in err
+        assert "Traceback" not in err
+
     def test_run_scenario_rejects_bad_input(self, capsys):
         # Exactly one of --spec/--name.
         assert main(["run-scenario"]) == 2

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import math
+import time
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import ConfigurationError
 from repro.config import SimulationConfig
@@ -16,7 +21,10 @@ from repro.engine import (
     ShardedEngineFLStore,
     compute_recovery_metrics,
 )
+from repro.engine.faults import RecoveryMetrics
 from repro.fl.trainer import FLJobSimulator
+from repro.scenario import get_scenario, run
+from repro.traces.arrivals import make_arrival_process
 from repro.traces.generator import RequestTraceGenerator
 
 
@@ -294,3 +302,193 @@ class TestRecoveryMetrics:
             _outcomes(times), onset_seconds=10.0, end_seconds=30.0, baseline_goodput_rps=1.0
         )
         assert first == second
+
+
+# ---------------------------------------------------------------------------
+# Recovery metrics against the per-window scan
+# ---------------------------------------------------------------------------
+
+
+def _reference_recovery_metrics(
+    outcomes,
+    onset_seconds: float,
+    end_seconds: float,
+    window_seconds: float = 5.0,
+    recovery_fraction: float = 0.9,
+    baseline_goodput_rps: float | None = None,
+) -> RecoveryMetrics:
+    """The original O(N x W) body of ``compute_recovery_metrics``, kept as
+    the oracle: every window rescans every served completion."""
+    if window_seconds <= 0:
+        raise ConfigurationError(f"window_seconds must be > 0, got {window_seconds}")
+    if not 0 < recovery_fraction <= 1:
+        raise ConfigurationError(f"recovery_fraction must be in (0, 1], got {recovery_fraction}")
+    served_times = sorted(o.completed_at for o in outcomes if o.disposition == "served")
+    if baseline_goodput_rps is not None:
+        baseline = baseline_goodput_rps
+    else:
+        start = min((o.arrived_at for o in outcomes), default=0.0)
+        pre_span = onset_seconds - start
+        pre_count = sum(1 for t in served_times if t < onset_seconds)
+        baseline = pre_count / pre_span if pre_span > 0 else 0.0
+    horizon = end_seconds - onset_seconds
+    if horizon <= 0 or baseline == 0.0:
+        return RecoveryMetrics(
+            onset_seconds=onset_seconds,
+            window_seconds=window_seconds,
+            baseline_goodput_rps=baseline,
+            time_to_recovery_seconds=0.0,
+            goodput_dip_area=0.0,
+            recovered=baseline > 0.0,
+        )
+    threshold = recovery_fraction * baseline
+    dip_area = 0.0
+    num_windows = int(math.ceil(horizon / window_seconds))
+    for k in range(num_windows):
+        lo = onset_seconds + k * window_seconds
+        hi = min(lo + window_seconds, end_seconds)
+        width = hi - lo
+        if width <= 0:
+            break
+        count = sum(1 for t in served_times if lo <= t < hi)
+        dip_area += max(0.0, baseline - count / width) * width
+    post = [t for t in served_times if onset_seconds < t <= end_seconds]
+    last_below = 0.0
+    for index, t in enumerate(post):
+        elapsed = t - onset_seconds
+        if index / elapsed < threshold:
+            last_below = elapsed
+    if len(post) / horizon < threshold:
+        last_below = horizon
+    recovered = last_below < horizon
+    return RecoveryMetrics(
+        onset_seconds=onset_seconds,
+        window_seconds=window_seconds,
+        baseline_goodput_rps=baseline,
+        time_to_recovery_seconds=last_below,
+        goodput_dip_area=dip_area,
+        recovered=recovered,
+    )
+
+
+#: ``served`` twice, so about half the drawn outcomes count as goodput.
+_DISPOSITIONS = ("served", "served", "requeued", "degraded", "shed")
+
+
+@st.composite
+def recovery_cases(draw):
+    """Arguments for one differential check, biased onto the comparison edges.
+
+    Times are integer-valued or float; completion times mix free draws with
+    the exact window bounds (``onset + k * window`` and ``lo + window``,
+    computed as the function computes them), ``onset_seconds`` and
+    ``end_seconds``, plus repeats of drawn times.  ``end_seconds`` may sit at
+    or before the onset, and the horizon need not be a multiple of the
+    window, so the last window may be partial.
+    """
+    if draw(st.booleans()):
+        onset = draw(st.integers(0, 40))
+        window = draw(st.integers(1, 7))
+        end = onset + draw(st.integers(-10, 90))
+        free_times = st.integers(-5, 140)
+        lags = st.integers(0, 30)
+    else:
+        onset = draw(st.floats(0.0, 40.0))
+        window = draw(st.floats(0.1, 7.0))
+        end = onset + draw(st.floats(-10.0, 90.0))
+        free_times = st.floats(-5.0, 140.0)
+        lags = st.floats(0.0, 30.0)
+    edges = [onset, end]
+    for k in range(min(math.ceil(max(end - onset, 0) / window), 40) + 1):
+        lo = onset + k * window
+        edges += [lo, lo + window]
+    times = draw(st.lists(st.one_of(free_times, st.sampled_from(edges)), max_size=60))
+    if times:
+        times += draw(st.lists(st.sampled_from(times), max_size=10))
+    outcomes = [
+        SimpleNamespace(
+            arrived_at=t - draw(lags),
+            completed_at=t,
+            disposition=draw(st.sampled_from(_DISPOSITIONS)),
+        )
+        for t in times
+    ]
+    kwargs = {
+        "onset_seconds": onset,
+        "end_seconds": end,
+        "window_seconds": window,
+        "recovery_fraction": draw(st.one_of(st.just(0.9), st.just(1.0), st.floats(0.01, 1.0))),
+        "baseline_goodput_rps": draw(
+            st.one_of(st.none(), st.just(0.0), st.integers(1, 5), st.floats(0.01, 20.0))
+        ),
+    }
+    return draw(st.permutations(outcomes)), kwargs
+
+
+class TestRecoveryMetricsMatchTheScan:
+    """Binary-search counts equal the per-window scan, bit for bit.
+
+    For a sorted list, ``bisect_left(times, x)`` is the number of times
+    ``< x``, so a half-open window ``[lo, hi)`` with ``lo < hi`` holds
+    ``bisect_left(hi) - bisect_left(lo)`` of them: the same integer the scan
+    counts.  Every float the metrics are built from is then computed from
+    the same operands in the same order, so equality is exact (``==`` on the
+    dataclass, no tolerance).
+    """
+
+    @given(recovery_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_equals_the_reference_on_random_cases(self, case):
+        outcomes, kwargs = case
+        expected = _reference_recovery_metrics(outcomes, **kwargs)
+        assert compute_recovery_metrics(outcomes, **kwargs) == expected
+
+    def test_completions_on_every_boundary(self):
+        # Windows [10, 15), [15, 20), [20, 22): completions sit on the onset,
+        # on each lo/hi and on the horizon, out of order and duplicated.
+        times = [22.0, 15.0, 10.0, 20.0, 15.0, 9.0, 22.0]
+        outcomes = _outcomes(times)
+        outcomes.append(SimpleNamespace(arrived_at=0.0, completed_at=12.0, disposition="shed"))
+        kwargs = {"onset_seconds": 10.0, "end_seconds": 22.0, "baseline_goodput_rps": 1.0}
+        metrics = compute_recovery_metrics(outcomes, **kwargs)
+        assert metrics == _reference_recovery_metrics(outcomes, **kwargs)
+        # Windows hold 1 (10), 2 (15, 15) and 1 (20): the 22s sit on the
+        # open end of the last window and the shed row is not goodput.
+        assert metrics.goodput_dip_area == pytest.approx(4.0 + 3.0 + 1.0)
+
+    @pytest.mark.parametrize("seed", [3, 7])
+    def test_equals_the_reference_on_a_real_faulted_run(self, seed):
+        spec = get_scenario("fault-recovery").with_overrides(
+            {"workload.num_requests": 1500, "seed": seed}
+        )
+        report = run(spec)
+        # The arguments run() passes: first onset, last arrival, the
+        # remediation control interval and the offered rate.
+        process = make_arrival_process(spec.arrival.kind, report.offered_rate_rps, seed=spec.seed)
+        expected = _reference_recovery_metrics(
+            report.load.outcomes,
+            onset_seconds=min(clause.onset_seconds for clause in spec.faults),
+            end_seconds=float(process.times_array(spec.workload.num_requests).max()),
+            window_seconds=spec.remediation.control_interval_seconds,
+            baseline_goodput_rps=report.offered_rate_rps,
+        )
+        assert report.recovery == expected
+
+    def test_scales_to_a_hundred_thousand_completions(self):
+        # 10^5 served completions over 2 x 10^5 five-second windows: the
+        # per-window scan would make 2 x 10^10 comparisons here.
+        rng = np.random.default_rng(5)
+        horizon = 1_000_000.0
+        times = (10.0 + rng.random(100_000) * horizon).tolist()
+        outcomes = _outcomes(times)
+        started = time.perf_counter()
+        metrics = compute_recovery_metrics(
+            outcomes,
+            onset_seconds=10.0,
+            end_seconds=10.0 + horizon,
+            window_seconds=5.0,
+            baseline_goodput_rps=0.1,
+        )
+        elapsed = time.perf_counter() - started
+        assert math.ceil(horizon / metrics.window_seconds) >= 200_000
+        assert elapsed < 5.0

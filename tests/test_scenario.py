@@ -115,6 +115,17 @@ class TestValidation:
                 faults=(FaultSpec(kind="shard-crash", magnitude=2.0),),
             )
 
+    def test_faults_require_full_metrics(self):
+        spec = get_scenario("fault-recovery")
+        with pytest.raises(ScenarioValidationError, match='metrics="full"'):
+            spec.with_overrides({"metrics": "streaming"})
+        spike = FaultSpec(kind="network-spike", duration_seconds=5.0)
+        with pytest.raises(ScenarioValidationError, match="completion times"):
+            ScenarioSpec(faults=(spike,), metrics="streaming")
+        # Either knob alone stays valid.
+        assert spec.with_overrides({"faults": [], "metrics": "streaming"}).metrics == "streaming"
+        assert ScenarioSpec(faults=(spike,)).metrics == "full"
+
     def test_remediation_and_autoscaler_are_mutually_exclusive(self):
         with pytest.raises(ScenarioValidationError, match="control loops"):
             ScenarioSpec(

@@ -132,9 +132,16 @@ class TestFastPathEligibility:
         assert not fast_path_eligible(get_scenario("engine-baseline"))
 
     def test_dynamic_topologies_are_not(self):
-        for name in ("sharded-burst", "jsq-hotkey", "autoscale-diurnal", "fault-recovery"):
+        for name in ("sharded-burst", "jsq-hotkey", "autoscale-diurnal"):
             spec = get_scenario(name).with_overrides({"metrics": "streaming"})
             assert not fast_path_eligible(spec), name
+        # A faulted spec cannot ask for streaming metrics at all (recovery
+        # metrics read per-request rows); without its faults it is still
+        # sharded and remediated, so still off the fast path.
+        with pytest.raises(ScenarioValidationError):
+            get_scenario("fault-recovery").with_overrides({"metrics": "streaming"})
+        spec = get_scenario("fault-recovery").with_overrides({"faults": [], "metrics": "streaming"})
+        assert not fast_path_eligible(spec)
 
     def test_priority_discipline_is_not(self):
         spec = get_scenario("engine-baseline").with_overrides(
@@ -193,9 +200,7 @@ class TestStreamingMemoryGuard:
     """
 
     def test_hundred_thousand_requests_bounded(self):
-        spec = get_scenario("million-request").with_overrides(
-            {"workload.num_requests": 100_000}
-        )
+        spec = get_scenario("million-request").with_overrides({"workload.num_requests": 100_000})
         run(spec)  # warm imports, registries, and calibration caches
         tracemalloc.start()
         try:
