@@ -2,11 +2,11 @@
 
 :mod:`repro.engine.kernel` provides the generic substrate (event heap,
 :class:`SimTask` futures, generator processes); :mod:`repro.engine.flstore`
-builds the serving semantics on top: overlapping requests, per-function
-concurrency limits with FIFO/priority queues, admission control with
-shedding (drop / degrade-to-objstore), and keep-alive/reclamation as
-scheduled events.  :mod:`repro.engine.sharded` puts a routing front door
-over N independent engine-backed shards on one shared event loop, and
+builds one shard's serving semantics on top: overlapping requests,
+per-function concurrency limits with FIFO/priority queues, admission
+control with shedding (drop / degrade-to-objstore), and
+keep-alive/reclamation as scheduled events.  :mod:`repro.engine.sharded` is
+the tier's one front door over 1..N such shards on one shared event loop, and
 :mod:`repro.engine.autoscale` closes the control loop over it: policies
 sample queue-depth/arrival-rate signals on scheduled control ticks and
 spawn/retire warm capacity (per-function slots, whole shards) online.

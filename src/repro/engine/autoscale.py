@@ -518,8 +518,8 @@ class Autoscaler:
         self._seen_requeued = self.tier.requeued_requests
         self._seen_violations = self.tier.slo_violations_total
         self._seen_finished = self.tier.finished_total
-        self._seen_tenant_finished = dict(getattr(self.tier, "tenant_finished", {}))
-        self._seen_tenant_violations = dict(getattr(self.tier, "tenant_slo_violations", {}))
+        self._seen_tenant_finished = dict(self.tier.tenant_finished)
+        self._seen_tenant_violations = dict(self.tier.tenant_slo_violations)
         self.tier.loop.schedule(self.config.control_interval_seconds, self._tick)
 
     def finalize(self) -> None:
@@ -573,8 +573,8 @@ class Autoscaler:
         # tenant's rate drives the "slo" policy, so one noisy-neighbour
         # victim is enough to trigger a scale-up even when the aggregate
         # rate looks healthy.
-        tenant_finished = dict(getattr(tier, "tenant_finished", {}))
-        tenant_violations = getattr(tier, "tenant_slo_violations", {})
+        tenant_finished = dict(tier.tenant_finished)
+        tenant_violations = tier.tenant_slo_violations
         max_tenant_rate = 0.0
         for tenant, total_finished in tenant_finished.items():
             finished_delta = total_finished - self._seen_tenant_finished.get(tenant, 0)
@@ -690,7 +690,7 @@ class Autoscaler:
                 shards=tier.num_shards,
                 slots_per_function=tier.slots_per_function,
                 capacity_units=tier.capacity_units,
-                replica_warm_events=getattr(tier, "replica_warm_events", 0),
+                replica_warm_events=tier.replica_warm_events,
             )
         )
 
@@ -716,6 +716,6 @@ class Autoscaler:
             capacity_unit_seconds=self.capacity_unit_seconds,
             provisioned_gb_seconds=self.provisioned_gb_seconds,
             warm_capacity_cost_dollars=self.warm_capacity_cost_dollars,
-            replica_warm_events=getattr(self.tier, "replica_warm_events", 0),
+            replica_warm_events=self.tier.replica_warm_events,
             events=list(self.events),
         )

@@ -117,11 +117,11 @@ class FaultRecord:
 class FaultPlan:
     """Schedules a list of fault clauses as events on a tier's event loop.
 
-    Works against either topology: a
-    :class:`~repro.engine.sharded.ShardedEngineFLStore` front door (all four
-    kinds) or a plain :class:`~repro.engine.flstore.EngineFLStore`
-    (everything except ``shard-crash``, which needs a ring to lose a shard
-    from).  ``start()`` is called by ``run_open_loop`` after arrivals are
+    Works against a :class:`~repro.engine.sharded.ShardedEngineFLStore`
+    front door (all four kinds; ``shard-crash`` needs a second active shard
+    to fail over to) or a lone :class:`~repro.engine.flstore.EngineFLStore`
+    shard run on its own (everything except ``shard-crash``, which needs a
+    ring to lose a shard from).  ``start()`` is called by ``run_open_loop`` after arrivals are
     scheduled; onsets are relative to that instant.
     """
 
@@ -139,7 +139,7 @@ class FaultPlan:
         for clause in self.clauses:
             if clause.kind == "shard-crash" and not sharded:
                 raise ConfigurationError(
-                    "a shard-crash fault needs a sharded tier (a plain engine "
+                    "a shard-crash fault needs a sharded tier (a lone shard "
                     "has no front door to lose a shard from)"
                 )
 
@@ -173,7 +173,7 @@ class FaultPlan:
     # ------------------------------------------------------------ fault kinds
 
     def _engines(self) -> list:
-        """The engine facades the fault surface spans (active shards or self)."""
+        """The shards the fault surface spans (the active shards, or a lone shard)."""
         active = getattr(self.tier, "active_shards", None)
         return list(active) if active is not None else [self.tier]
 

@@ -1,10 +1,10 @@
-"""Serving FLStore requests as timed processes on the discrete-event kernel.
+"""One shard of the serving tier: requests as timed processes on the event kernel.
 
-:class:`EngineFLStore` is a facade over :class:`repro.core.flstore.FLStore`
-that admits *overlapping* requests.  The analytic core stays the oracle for
-what a request does (which keys it touches, which function executes it, what
-its service latency and dollar cost are); the engine adds what the analytic
-path cannot express:
+:class:`EngineFLStore` wraps an analytic :class:`repro.core.flstore.FLStore`
+so that it can serve *overlapping* requests.  The analytic core stays the
+oracle for what a request does (which keys it touches, which function
+executes it, what its service latency and dollar cost are); the shard adds
+what the analytic path cannot express:
 
 * requests arrive at virtual times (open-loop load from
   :mod:`repro.traces.arrivals`) instead of back to back,
@@ -15,11 +15,14 @@ path cannot express:
 * keep-alive pings and provider reclamations fire as *scheduled events* on
   the event heap instead of eager per-request callbacks.
 
-Closed-loop equivalence is the design invariant: when requests arrive
-sequentially (each one after the previous completed), the engine reproduces
-the direct ``FLStore.serve`` path byte for byte — same :class:`ServeResult`
-latencies, costs, hit counts, and routing.  ``tests/test_engine.py`` enforces
-this for every registered workload.
+Every tier, one shard or many, is a
+:class:`~repro.engine.sharded.ShardedEngineFLStore`: the front door submits,
+routes and counts; it hands each routed arrival to :meth:`EngineFLStore.arrive`
+in the same event.  Closed-loop equivalence is the design invariant: when
+requests arrive sequentially (each one after the previous completed), a
+one-shard tier reproduces the direct ``FLStore.serve`` path byte for byte —
+same :class:`ServeResult` latencies, costs, hit counts, and routing.
+``tests/test_engine.py`` enforces this for every registered workload.
 """
 
 from __future__ import annotations
@@ -30,10 +33,11 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from repro.common.errors import ConfigurationError
 from repro.common.units import GB
-from repro.core.flstore import FLStore, ServeResult, build_default_flstore
+from repro.config import SHED_POLICIES
+from repro.core.flstore import FLStore, ServeResult
 from repro.engine.kernel import EventLoop, SimTask, Timeout
-from repro.engine.streaming import StreamingLoadCollector, check_metrics_mode
 from repro.network.model import spike_cost, spike_latency
 from repro.serverless.faults import ZipfianFaultInjector
 from repro.simulation.metrics import RequestRecord
@@ -250,7 +254,9 @@ class LoadReport:
             "violation_rate": self.violation_rate,
         }
 
-    def to_records(self, system: str = "engine-flstore", model_name: str = "unknown") -> list[RequestRecord]:
+    def to_records(
+        self, system: str = "engine-flstore", model_name: str = "unknown"
+    ) -> list[RequestRecord]:
         """Per-request :class:`RequestRecord` rows (completion order)."""
         return [outcome.to_record(system, model_name) for outcome in self.outcomes]
 
@@ -277,9 +283,7 @@ def build_tenant_rows(
     if not by_tenant:
         return []
     slos = tenant_slos or {}
-    total_finished = sum(
-        1 for rows in by_tenant.values() for o in rows if o.disposition != "shed"
-    )
+    total_finished = sum(1 for rows in by_tenant.values() for o in rows if o.disposition != "shed")
     tenant_rows = []
     for tenant in sorted(by_tenant):
         rows = by_tenant[tenant]
@@ -318,10 +322,9 @@ def build_load_report(
 ) -> LoadReport:
     """Aggregate ``outcomes`` into a :class:`LoadReport`.
 
-    Shared by :class:`EngineFLStore` and the sharded front door
-    (:class:`repro.engine.sharded.ShardedEngineFLStore`), so a one-shard
-    sharded run reports through exactly the same code path as the plain
-    engine.  Sojourn statistics cover completed (non-shed) requests; shed
+    The full-metrics report of every open-loop run
+    (:meth:`repro.engine.sharded.ShardedEngineFLStore.run_open_loop`).
+    Sojourn statistics cover completed (non-shed) requests; shed
     rejections count toward ``shed``/``shed_rate`` only.
     """
     submitted = len(arrival_times)
@@ -393,8 +396,21 @@ def _queue_depth_profile(
     return weighted / (end - start), max_depth
 
 
+def _never() -> bool:
+    """Daemon re-arm predicate of a shard with no traffic coming."""
+    return False
+
+
 class EngineFLStore:
-    """Discrete-event serving facade over an analytic :class:`FLStore`.
+    """One shard: an analytic :class:`FLStore` serving routed arrivals.
+
+    The routing front door (:class:`repro.engine.sharded.ShardedEngineFLStore`)
+    hands every arrival routed here to :meth:`arrive`.  The shard runs it as
+    a timed process — serving oracle, per-function slots and queues,
+    per-shard admission (push-out, shedding, degraded serving) — and
+    resolves the front door's task with the request's
+    :class:`EngineOutcome`.  It also owns its keep-alive and reclamation
+    daemons and the capacity levers the control layers actuate.
 
     Parameters
     ----------
@@ -412,11 +428,11 @@ class EngineFLStore:
         Virtual-time spacing of reclamation events.
     max_queue_depth:
         Admission bound — maximum number of requests waiting for a slot on
-        this engine before new arrivals are shed.  Defaults to
+        this shard before new arrivals are shed.  Defaults to
         ``config.serverless.max_queue_depth``; ``0`` means unbounded.
     shed_policy:
-        What happens to shed arrivals (``"drop"`` or
-        ``"degrade-to-objstore"``).  Defaults to
+        What happens to shed arrivals (one of
+        :data:`repro.config.SHED_POLICIES`).  Defaults to
         ``config.serverless.shed_policy``.
     """
 
@@ -436,16 +452,20 @@ class EngineFLStore:
                 "the engine schedules reclamations itself; build the FLStore "
                 "without a fault injector and pass it to EngineFLStore instead"
             )
+        serverless = flstore.config.serverless
+        self.shed_policy = serverless.shed_policy if shed_policy is None else shed_policy
+        if self.shed_policy not in SHED_POLICIES:
+            raise ConfigurationError(
+                f"unknown shed policy {self.shed_policy!r}; expected one of {SHED_POLICIES}"
+            )
         self.flstore = flstore
         self.loop = loop or EventLoop()
         self.platform = flstore.platform
         self.fault_injector = fault_injector
         self.reclamation_interval_seconds = reclamation_interval_seconds
-        serverless = flstore.config.serverless
         self.max_queue_depth = (
             serverless.max_queue_depth if max_queue_depth is None else int(max_queue_depth)
         )
-        self.shed_policy = serverless.shed_policy if shed_policy is None else shed_policy
         # Keep the per-function queue capacities in lockstep with the bound
         # admission control actually enforces; otherwise an override looser
         # than config.max_queue_depth would admit a request only for the
@@ -469,58 +489,30 @@ class EngineFLStore:
         self._outstanding = 0
         self._waiting = 0
         self._depth_samples: list[tuple[float, int]] = []
-        self._completed: list[EngineOutcome] = []
-        #: Lifetime completion counters, maintained in O(1) per outcome.
-        #: The remediation controller samples SLO compliance from these
-        #: (``watch_slo_seconds`` arms the violation counter) instead of
-        #: re-scanning ``_completed`` every control tick, and the streaming
-        #: metrics mode depends on them because it retains no rows at all.
-        self.completed_total = 0
-        self.finished_total = 0
-        self.slo_violations_total = 0
-        self.watch_slo_seconds: float | None = None
-        #: Multi-tenant state (empty on single-tenant engines, which keeps
+        #: Multi-tenant state (empty on single-tenant shards, which keeps
         #: every untagged code path byte-identical).  Weights feed the
         #: wfq/drr queue disciplines; per-tenant SLOs and the lifetime
-        #: violation/finished counters feed SLO-aware shedding and the
-        #: ``slo`` autoscaler policy.
+        #: violation/finished counters feed SLO-aware push-out.
         self._tenant_weights: dict[str, float] = {}
         self.tenant_slo_seconds: dict[str, float] = {}
         self.tenant_finished: dict[str, int] = {}
         self.tenant_slo_violations: dict[str, int] = {}
         self._tenant_waiting: dict[str, int] = {}
-        #: Streaming-mode hooks: when set, completed outcomes / queue-depth
-        #: changes flow to these callbacks *instead of* the retained
-        #: ``_completed`` / ``_depth_samples`` lists (``metrics="streaming"``
-        #: keeps memory flat in request count).  ``None`` (the default)
-        #: preserves the retained-row pipeline byte for byte.
-        self.outcome_sink: Callable[[EngineOutcome], None] | None = None
+        #: Streaming-mode hook: when set, queue-depth changes flow to this
+        #: callback *instead of* the retained ``_depth_samples`` list
+        #: (``metrics="streaming"`` keeps memory flat in request count).
         self.depth_listener: Callable[["EngineFLStore", float, int], None] | None = None
-        #: Re-arm predicate for the keep-alive/reclamation daemons.  Stand-
-        #: alone, an engine keeps them alive while it has submitted-but-
-        #: incomplete requests; a routing front door overrides this with its
-        #: own in-flight count, because under route-at-arrival a shard only
-        #: learns about a request when it arrives — its local count going
-        #: momentarily to zero must not kill the daemons while the tier
-        #: still has traffic coming.
-        self.daemon_alive: Callable[[], bool] | None = None
+        #: Re-arm predicate for the keep-alive/reclamation daemons, bound by
+        #: the owning front door to its own in-flight count: under
+        #: route-at-arrival a shard only learns about a request when it
+        #: arrives, so its local count going momentarily to zero must not
+        #: kill the daemons while the tier still has traffic coming.
+        self.daemon_alive: Callable[[], bool] = _never
         # One daemon of each kind at a time: a shard retired and re-activated
         # within one interval would otherwise end up with two concurrent
         # daemons (the old one has not yet observed its dead re-arm check).
         self._keepalive_daemon = False
         self._reclaim_daemon = False
-
-    @classmethod
-    def build(
-        cls,
-        config=None,
-        policy_mode: str = "tailored",
-        fault_injector: ZipfianFaultInjector | None = None,
-        **kwargs,
-    ) -> "EngineFLStore":
-        """Build a fresh analytic FLStore and wrap it in an engine facade."""
-        flstore = build_default_flstore(config, policy_mode=policy_mode)
-        return cls(flstore, fault_injector=fault_injector, **kwargs)
 
     # --------------------------------------------------------- passthroughs
 
@@ -545,19 +537,17 @@ class EngineFLStore:
         weights: Mapping[str, float],
         slo_seconds: Mapping[str, float | None] | None = None,
     ) -> None:
-        """Arm the engine's tenant policy state.
+        """Arm the shard's tenant policy state.
 
         ``weights`` drive the ``wfq``/``drr`` queue disciplines and the
         push-out victim ranking; ``slo_seconds`` gives each tenant its own
         sojourn SLO (``None`` entries disable violation accounting for that
         tenant).  An empty ``weights`` mapping disarms tenancy entirely —
-        the engine is then byte-identical to a pre-tenant build.
+        the shard is then byte-identical to a pre-tenant build.
         """
         self._tenant_weights = dict(weights)
         self.tenant_slo_seconds = {
-            tenant: slo
-            for tenant, slo in (slo_seconds or {}).items()
-            if slo is not None
+            tenant: slo for tenant, slo in (slo_seconds or {}).items() if slo is not None
         }
 
     def tenant_violation_rate(self, tenant: str | None) -> float:
@@ -569,9 +559,7 @@ class EngineFLStore:
             return 0.0
         return self.tenant_slo_violations.get(tenant, 0) / finished
 
-    def _pushout_victim(
-        self, arriving: str | None, queued: Mapping[str, int]
-    ) -> str | None:
+    def _pushout_victim(self, arriving: str | None, queued: Mapping[str, int]) -> str | None:
         """Which queued tenant's newest waiter to shed instead of the arrival.
 
         SLO-aware admission: among tenants with queued requests, the one
@@ -615,61 +603,57 @@ class EngineFLStore:
         token.resolve("shed")
         return True
 
-    # ------------------------------------------------------------ submission
+    # --------------------------------------------------------------- arrivals
 
-    def submit(self, request: WorkloadRequest, at: float, priority: float = 0.0) -> SimTask:
-        """Schedule ``request`` to arrive at virtual time ``at``.
+    def arrive(self, request: WorkloadRequest, task: SimTask, priority: float = 0.0) -> None:
+        """Admit ``request`` now; ``task`` resolves with its :class:`EngineOutcome`.
 
-        Returns the request's task; it resolves with an
-        :class:`EngineOutcome` when the request completes.  Admission
-        control runs at arrival time: when ``max_queue_depth`` requests are
-        already waiting, the arrival is shed per ``shed_policy`` *before*
-        the serving oracle runs, so a dropped request leaves no trace in
-        the cache, the policies, or the analytic clock.
+        Called by the front door in the request's arrival event, after
+        routing.  Admission control runs first: when ``max_queue_depth``
+        requests are already waiting (and no push-out makes room), the
+        arrival is shed per ``shed_policy`` *before* the serving oracle
+        runs, so a dropped request leaves no trace in the cache, the
+        policies, or the analytic clock.
         """
-        task = SimTask(self.loop, name=request.request_id)
         self._outstanding += 1
-
-        def _arrive() -> None:
-            if (
-                self.max_queue_depth > 0
-                and self._waiting >= self.max_queue_depth
-                and not self._try_pushout(request)
-            ):
-                self._shed(request, task)
-            else:
-                self.loop.process(self._request_process(request, priority), task=task)
-
-        self.loop.schedule_at(at, _arrive)
-        return task
+        if (
+            self.max_queue_depth > 0
+            and self._waiting >= self.max_queue_depth
+            and not self._try_pushout(request)
+        ):
+            self._shed(request, task)
+        else:
+            self.loop.process(self._request_process(request, priority), task=task)
 
     def _shed(self, request: WorkloadRequest, task: SimTask) -> None:
         """Apply the shedding policy to an arrival refused admission."""
         if self.shed_policy == "degrade-to-objstore":
-            self.degraded_requests += 1
-            self.platform.stats.requests_degraded += 1
-            self.loop.process(self._degraded_process(request), task=task)
-            return
+            self.loop.process(self._degraded_process(request, self.loop.now), task=task)
+        else:
+            task.resolve(self._reject(request, self.loop.now))
+
+    def _reject(self, request: WorkloadRequest, arrived_at: float) -> EngineOutcome:
+        """Drop a shed request: rejected at once, nothing executes."""
         self.shed_requests += 1
         self.platform.stats.requests_shed += 1
         now = self.loop.now
         outcome = EngineOutcome(
             request=request,
             result=rejection_result(self.flstore, request),
-            arrived_at=now,
+            arrived_at=arrived_at,
             started_at=now,
             completed_at=now,
             disposition="shed",
         )
-        self._record(outcome)
-        self._outstanding -= 1
-        task.resolve(outcome)
+        self._finish(outcome)
+        return outcome
 
-    def _degraded_process(self, request: WorkloadRequest):
+    def _degraded_process(self, request: WorkloadRequest, arrived_at: float):
         """A shed request served on the object-store bypass (no queue, no cache)."""
-        arrived_at = self.loop.now
-        result = serve_degraded(self.flstore, request)
-        result = self._apply_network_fault(result)
+        self.degraded_requests += 1
+        self.platform.stats.requests_degraded += 1
+        started_at = self.loop.now
+        result = self._apply_network_fault(serve_degraded(self.flstore, request))
         service_seconds = result.latency.total_seconds * self.service_time_multiplier
         if service_seconds > 0:
             yield Timeout(service_seconds)
@@ -677,12 +661,11 @@ class EngineFLStore:
             request=request,
             result=result,
             arrived_at=arrived_at,
-            started_at=arrived_at,
+            started_at=started_at,
             completed_at=self.loop.now,
             disposition="degraded",
         )
-        self._record(outcome)
-        self._outstanding -= 1
+        self._finish(outcome)
         return outcome
 
     def _request_process(self, request: WorkloadRequest, priority: float):
@@ -737,31 +720,9 @@ class EngineFLStore:
                     # shed per ``shed_policy`` from the moment of eviction;
                     # its serving-oracle side effects stand (like a
                     # requeued request's).
-                    evicted_at = self.loop.now
                     if self.shed_policy == "degrade-to-objstore":
-                        self.degraded_requests += 1
-                        self.platform.stats.requests_degraded += 1
-                        result = self._apply_network_fault(serve_degraded(self.flstore, request))
-                        service_seconds = result.latency.total_seconds * self.service_time_multiplier
-                        if service_seconds > 0:
-                            yield Timeout(service_seconds)
-                        disposition = "degraded"
-                    else:
-                        self.shed_requests += 1
-                        self.platform.stats.requests_shed += 1
-                        result = rejection_result(self.flstore, request)
-                        disposition = "shed"
-                    outcome = EngineOutcome(
-                        request=request,
-                        result=result,
-                        arrived_at=arrived_at,
-                        started_at=evicted_at,
-                        completed_at=self.loop.now,
-                        disposition=disposition,
-                    )
-                    self._record(outcome)
-                    self._outstanding -= 1
-                    return outcome
+                        return (yield from self._degraded_process(request, arrived_at))
+                    return self._reject(request, arrived_at)
                 # A False grant means the function was reclaimed while the
                 # request waited; it proceeds without holding a slot (its
                 # analytic outcome already happened at arrival) and is
@@ -787,33 +748,23 @@ class EngineFLStore:
             completed_at=self.loop.now,
             disposition=disposition,
         )
-        self._record(outcome)
-        self._outstanding -= 1
+        self._finish(outcome)
         return outcome
 
-    def _record(self, outcome: EngineOutcome) -> None:
-        """Account one completed outcome: counters, then retain or stream it."""
-        self.completed_total += 1
-        if outcome.disposition != "shed":
-            self.finished_total += 1
-            watch = self.watch_slo_seconds
-            tenant = outcome.request.tenant_id
-            if tenant is None:
-                if watch is not None and outcome.sojourn_seconds > watch:
-                    self.slo_violations_total += 1
-            else:
-                self.tenant_finished[tenant] = self.tenant_finished.get(tenant, 0) + 1
-                slo = self.tenant_slo_seconds.get(tenant, watch)
-                if slo is not None and outcome.sojourn_seconds > slo:
-                    self.slo_violations_total += 1
-                    self.tenant_slo_violations[tenant] = (
-                        self.tenant_slo_violations.get(tenant, 0) + 1
-                    )
-        sink = self.outcome_sink
-        if sink is None:
-            self._completed.append(outcome)
-        else:
-            sink(outcome)
+    def _finish(self, outcome: EngineOutcome) -> None:
+        """Account one finished outcome on the shard, before its task resolves.
+
+        Only the per-tenant lifetime counters live here — push-out admission
+        ranks victims by them; every tier-wide count and the retained rows
+        are the front door's.
+        """
+        tenant = outcome.request.tenant_id
+        if tenant is not None and outcome.disposition != "shed":
+            self.tenant_finished[tenant] = self.tenant_finished.get(tenant, 0) + 1
+            slo = self.tenant_slo_seconds.get(tenant)
+            if slo is not None and outcome.sojourn_seconds > slo:
+                self.tenant_slo_violations[tenant] = self.tenant_slo_violations.get(tenant, 0) + 1
+        self._outstanding -= 1
 
     def _note_queue_change(self, delta: int) -> None:
         self._waiting += delta
@@ -837,12 +788,12 @@ class EngineFLStore:
 
     @property
     def waiting(self) -> int:
-        """Requests currently queued for an execution slot on this engine."""
+        """Requests currently queued for an execution slot on this shard."""
         return self._waiting
 
     @property
     def outstanding(self) -> int:
-        """Requests submitted but not yet completed (queued, executing, or scheduled)."""
+        """Requests arrived on this shard but not yet completed (queued or executing)."""
         return self._outstanding
 
     def set_function_concurrency(self, limit: int) -> int:
@@ -906,15 +857,9 @@ class EngineFLStore:
         self.flstore.engine.drop_lost_keys()
         # A retired shard has nothing to keep warm and samples no further
         # reclamations; let its daemons wind down at their next tick.
-        self.daemon_alive = lambda: False
+        self.daemon_alive = _never
 
     # --------------------------------------------------- lifecycle as events
-
-    def _daemons_live(self) -> bool:
-        """Whether the keep-alive/reclamation daemons should re-arm."""
-        if self.daemon_alive is not None:
-            return self.daemon_alive()
-        return self._outstanding > 0
 
     def schedule_keepalive(self, interval_seconds: float | None = None) -> None:
         """Ping warm functions every ``interval_seconds`` of virtual time.
@@ -923,7 +868,7 @@ class EngineFLStore:
         engine's virtual time (monotonically), then pings every warm
         function, so ``last_invoked_at`` stamps track the open-loop timeline
         rather than the analytic per-request one.  It re-arms itself while
-        requests are outstanding — a periodic daemon on the event heap
+        :attr:`daemon_alive` holds — a periodic daemon on the event heap
         instead of an eager callback per request.
         """
         interval = (
@@ -942,7 +887,7 @@ class EngineFLStore:
             for function in self.platform.warm_functions():
                 self.platform.ping(function.function_id)
                 self.keepalive_pings += 1
-            if self._daemons_live():
+            if self.daemon_alive():
                 self.loop.schedule(interval, _ping)
             else:
                 self._keepalive_daemon = False
@@ -975,149 +920,25 @@ class EngineFLStore:
                     token.resolve(False)
             if reclaimed:
                 self.flstore.engine.drop_lost_keys()
-            if self._daemons_live():
+            if self.daemon_alive():
                 self.loop.schedule(interval, _reclaim)
             else:
                 self._reclaim_daemon = False
 
         self.loop.schedule(interval, _reclaim)
 
-    # ------------------------------------------------------------ run modes
-
-    def run_closed_loop(self, requests: Iterable[WorkloadRequest]) -> list[ServeResult]:
-        """Serve ``requests`` sequentially through the engine.
-
-        Each request arrives exactly when the previous one completed, so no
-        request ever queues and the returned :class:`ServeResult` sequence is
-        byte-identical to calling ``FLStore.serve`` directly.
-        """
-        results: list[ServeResult] = []
-        for request in requests:
-            task = self.submit(request, at=self.loop.now)
-            self.loop.run()
-            results.append(task.result.result)
-        return results
-
-    def _submit_block(
-        self,
-        requests: Sequence[WorkloadRequest],
-        absolute_times: Sequence[float],
-        priorities: Sequence[float] | None,
-    ) -> None:
-        """Submit one open-loop block, bulk-scheduling sorted arrivals.
-
-        Arrival processes produce non-decreasing instants, so the common
-        case consumes them through :meth:`EventLoop.schedule_many` (one
-        sorted-array cursor) instead of N individual pushes; a contiguous
-        sequence block is reserved up front, so the event order — and
-        therefore every report — is byte-identical to per-request
-        :meth:`submit` calls.  Unsorted inputs fall back to those calls.
-        """
-        count = len(requests)
-        if count == 0:
-            return
-        times = np.asarray(absolute_times, dtype=np.float64)
-        if count > 1 and not bool(np.all(times[1:] >= times[:-1])):
-            for index, (request, at) in enumerate(zip(requests, absolute_times)):
-                priority = priorities[index] if priorities is not None else 0.0
-                self.submit(request, at=at, priority=priority)
-            return
-        tasks = [SimTask(self.loop, name=request.request_id) for request in requests]
-        self._outstanding += count
-
-        def _arrive(index: int) -> None:
-            request = requests[index]
-            task = tasks[index]
-            if (
-                self.max_queue_depth > 0
-                and self._waiting >= self.max_queue_depth
-                and not self._try_pushout(request)
-            ):
-                self._shed(request, task)
-            else:
-                priority = priorities[index] if priorities is not None else 0.0
-                self.loop.process(self._request_process(request, priority), task=task)
-
-        self.loop.schedule_many(times, _arrive)
+    # ------------------------------------------------------------- run mode
 
     def run_open_loop(
-        self,
-        requests: Sequence[WorkloadRequest],
-        arrival_times: Sequence[float],
-        priorities: Sequence[float] | None = None,
-        label: str = "open-loop",
-        keepalive: bool = False,
-        slo_seconds: float | None = None,
-        fault_plan=None,
-        metrics: str = "full",
+        self, requests: Sequence[WorkloadRequest], arrival_times: Sequence[float], **options
     ) -> LoadReport:
-        """Serve ``requests`` at the given arrival times; report load metrics.
+        """Serve ``requests`` open-loop on this shard alone; report load metrics.
 
-        ``arrival_times`` come from an arrival process
-        (:mod:`repro.traces.arrivals`) and are relative to the start of this
-        run (the loop's current virtual time), so repeated runs on one
-        engine compose; overlapping requests contend for execution slots and
-        queue per function.  With ``keepalive`` the keep-alive daemon runs
-        as a recurring event; a fault injector (if configured) adds
-        reclamation events.  ``slo_seconds`` (optional) sets the sojourn-time
-        SLO the report's ``violation_rate`` is measured against.  Per-run
-        counters (queue-depth samples, keep-alive pings, reclamations, shed
-        accounting) are reported per run, not engine-lifetime.  A
-        ``fault_plan`` (:class:`repro.engine.faults.FaultPlan`) schedules its
-        fault clauses as events on the same virtual timeline.
-
-        ``metrics`` selects the report pipeline: ``"full"`` (default)
-        retains every outcome and reports exact percentiles — byte-identical
-        to the pre-knob behaviour — while ``"streaming"`` folds outcomes
-        into O(1)-memory accumulators (:mod:`repro.engine.streaming`) as
-        they complete: every scalar column except the three percentile
-        sketches is still exact, and ``report.outcomes`` is empty.
+        Runs through a one-shard front door built around this shard (see
+        :meth:`repro.engine.sharded.ShardedEngineFLStore.run_open_loop` for
+        the options), so the shard's own counters — pings, reclamations,
+        shed, degraded, requeued — read as they would inside any tier.
         """
-        if len(requests) != len(arrival_times):
-            raise ValueError("requests and arrival_times must have the same length")
-        check_metrics_mode(metrics)
-        base = self.loop.now
-        absolute_times = [base + float(at) for at in arrival_times]
-        start_count = len(self._completed)
-        pings_before = self.keepalive_pings
-        reclamations_before = self.reclamations
-        self._depth_samples = []
-        collector: StreamingLoadCollector | None = None
-        if metrics == "streaming":
-            collector = StreamingLoadCollector(
-                slo_seconds, tenant_slos=self.tenant_slo_seconds or None
-            )
-            self.outcome_sink = collector.fold
-            self.depth_listener = lambda engine, now, depth: collector.note_depth(now, depth)
-        try:
-            self._submit_block(requests, absolute_times, priorities)
-            if keepalive:
-                self.schedule_keepalive()
-            self.schedule_reclamations()
-            if fault_plan is not None:
-                fault_plan.start()
-            self.loop.run()
-        finally:
-            if collector is not None:
-                self.outcome_sink = None
-                self.depth_listener = None
-        if collector is not None:
-            return collector.build_report(
-                label,
-                submitted=len(absolute_times),
-                first_arrival=min(absolute_times) if absolute_times else 0.0,
-                last_arrival=max(absolute_times) if absolute_times else 0.0,
-                keepalive_pings=self.keepalive_pings - pings_before,
-                reclamations=self.reclamations - reclamations_before,
-            )
-        outcomes = self._completed[start_count:]
-        return build_load_report(
-            outcomes,
-            absolute_times,
-            label,
-            depth_samples=self._depth_samples,
-            keepalive_pings=self.keepalive_pings - pings_before,
-            reclamations=self.reclamations - reclamations_before,
-            slo_seconds=slo_seconds,
-            tenant_slos=self.tenant_slo_seconds or None,
-        )
+        from repro.engine.sharded import ShardedEngineFLStore
+
+        return ShardedEngineFLStore._around(self).run_open_loop(requests, arrival_times, **options)

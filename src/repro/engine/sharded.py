@@ -1,9 +1,11 @@
-"""A routed, sharded serving tier behind one front door.
+"""The serving tier's one front door, over 1..N shards.
 
-:class:`ShardedEngineFLStore` owns N independent ``FLStore`` +
-:class:`~repro.engine.flstore.EngineFLStore` shards running on **one shared
-event loop** (a single virtual timeline), routes every request to a shard by
-its data-affinity key (:mod:`repro.routing`), and aggregates the results:
+:class:`ShardedEngineFLStore` is the only way requests enter the simulated
+tier — a plain topology is the one-shard case.  It owns N independent
+``FLStore`` + :class:`~repro.engine.flstore.EngineFLStore` shards running on
+**one shared event loop** (a single virtual timeline), routes every request
+to a shard by its data-affinity key (:mod:`repro.routing`), hands it to that
+shard in the same arrival event, and aggregates the results:
 per-request :class:`~repro.engine.flstore.EngineOutcome` rows in global
 completion order, running latency/cost accumulators, queue-depth profiles
 merged across shards, and cache-liveness accounting (cached bytes, live
@@ -30,11 +32,12 @@ what the autoscaler (:mod:`repro.engine.autoscale`) actuates:
   semantics), keeping ``served + requeued + degraded + shed == offered``
   across resize events.
 
-Design invariant (enforced by ``tests/test_sharded.py``): a one-shard tier
-with unbounded queues is *byte-identical* to a plain ``EngineFLStore`` —
-same per-request rows, same report — because the front door delegates to the
-same submission path and builds its report through the same
-:func:`~repro.engine.flstore.build_load_report` code.
+Submission, the tier-wide outcome counters and the retained rows live only
+here; a shard keeps what it needs to serve and admit (slots, queues,
+daemons, its own tenant counters for push-out).  So a one-shard tier and an
+N-shard tier run the same code, and :meth:`EngineFLStore.run_open_loop
+<repro.engine.flstore.EngineFLStore.run_open_loop>` is itself a one-shard
+front door built around that shard.
 """
 
 from __future__ import annotations
@@ -92,14 +95,6 @@ def merge_depth_samples(
         current[shard_index] = depth
         merged.append((time_point, sum(current)))
     return merged
-
-
-def _discard_outcome(outcome: EngineOutcome) -> None:
-    """Shard-level outcome sink for streaming runs.
-
-    The front door already folds every outcome into the run's collector as
-    the shard task resolves; the shard itself must simply not retain the row.
-    """
 
 
 class ShardedEngineFLStore:
@@ -169,16 +164,66 @@ class ShardedEngineFLStore:
         flstores = list(flstores)
         if not flstores:
             raise ValueError("a sharded tier needs at least one shard")
-        self.loop = loop or EventLoop()
-        self.router = router or make_router("consistent-hash", len(flstores))
-        if self.router.num_shards != len(flstores):
-            raise ValueError(
-                f"router covers {self.router.num_shards} shards "
-                f"but {len(flstores)} were provided"
-            )
         injectors = list(fault_injectors) if fault_injectors is not None else [None] * len(flstores)
         if len(injectors) != len(flstores):
             raise ValueError("fault_injectors must match the shard count")
+        loop = loop or EventLoop()
+        shards = [
+            EngineFLStore(
+                flstore,
+                loop=loop,
+                fault_injector=injector,
+                reclamation_interval_seconds=reclamation_interval_seconds,
+                max_queue_depth=max_queue_depth,
+                shed_policy=shed_policy,
+            )
+            for flstore, injector in zip(flstores, injectors)
+        ]
+        self._assemble(
+            shards,
+            router,
+            max_queue_depth,
+            shed_policy,
+            shard_factory=shard_factory,
+            warm_rounds=warm_rounds,
+            replication_factor=replication_factor,
+            replication_policy=replication_policy,
+            hot_threshold=hot_threshold,
+        )
+
+    @classmethod
+    def _around(cls, shard: EngineFLStore) -> "ShardedEngineFLStore":
+        """A one-shard front door over an existing shard, on the shard's loop.
+
+        Backs :meth:`EngineFLStore.run_open_loop`: the shard keeps its own
+        admission settings and tenant configuration, and its counters
+        advance exactly as they would in a tier built from an ``FLStore``.
+        The door has no shard factory, so it cannot scale out.
+        """
+        door = cls.__new__(cls)
+        door._assemble([shard], None, shard.max_queue_depth, shard.shed_policy)
+        door.configure_tenants(shard._tenant_weights, shard.tenant_slo_seconds)
+        return door
+
+    def _assemble(
+        self,
+        shards: list[EngineFLStore],
+        router: ShardRouter | None,
+        max_queue_depth: int | None,
+        shed_policy: str | None,
+        shard_factory: Callable[[], FLStore] | None = None,
+        warm_rounds: Sequence[object] | None = None,
+        replication_factor: int = 1,
+        replication_policy: str = "none",
+        hot_threshold: int = 8,
+    ) -> None:
+        """Set the front door up over built ``shards`` (all on one loop)."""
+        self.loop = shards[0].loop
+        self.router = router or make_router("consistent-hash", len(shards))
+        if self.router.num_shards != len(shards):
+            raise ValueError(
+                f"router covers {self.router.num_shards} shards but {len(shards)} were provided"
+            )
         if replication_policy not in REPLICATION_POLICIES:
             raise ConfigurationError(
                 f"unknown replication policy {replication_policy!r}; "
@@ -209,26 +254,15 @@ class ShardedEngineFLStore:
         self.replica_hits = 0
         self._max_queue_depth = max_queue_depth
         self._shed_policy = shed_policy
-        self._reclamation_interval = reclamation_interval_seconds
+        self._reclamation_interval = shards[0].reclamation_interval_seconds
         self._shard_factory = shard_factory
         #: All shards ever created, in creation order; retired shards stay
         #: (their completed work and counters remain part of the tier).
-        self.shards = [
-            EngineFLStore(
-                flstore,
-                loop=self.loop,
-                fault_injector=injector,
-                reclamation_interval_seconds=reclamation_interval_seconds,
-                max_queue_depth=max_queue_depth,
-                shed_policy=shed_policy,
-            )
-            for flstore, injector in zip(flstores, injectors)
-        ]
+        self.shards = shards
         # Under route-at-arrival a shard's own outstanding count hits zero
         # whenever it is momentarily idle; its keep-alive/reclamation
         # daemons must instead live as long as the *tier* has in-flight
-        # traffic (matching the plain engine, whose count includes
-        # submitted-but-not-yet-arrived requests).
+        # traffic (submitted-but-not-yet-arrived requests included).
         for shard in self.shards:
             shard.daemon_alive = self._has_inflight
         #: Indices into ``shards`` currently receiving traffic; resized
@@ -260,19 +294,21 @@ class ShardedEngineFLStore:
         self.latency_totals = LatencyAccumulator()
         self.cost_totals = CostAccumulator()
         self._completed: list[EngineOutcome] = []
-        #: Tier-lifetime outcome counters, mirroring the plain engine's: the
-        #: remediation controller reads per-window deltas off these
-        #: (``watch_slo_seconds`` arms the violation counter) instead of
-        #: re-scanning ``_completed`` every control tick, and the streaming
-        #: metrics mode depends on them because it retains no rows at all.
+        #: Tier-lifetime outcome counters, maintained in O(1) per outcome:
+        #: the remediation controller and the autoscaler read per-window
+        #: deltas off these (``watch_slo_seconds`` arms the violation
+        #: counter) instead of re-scanning ``_completed`` every control tick,
+        #: and the streaming metrics mode depends on them because it retains
+        #: no rows at all.
         self.completed_total = 0
         self.finished_total = 0
         self.slo_violations_total = 0
         self.watch_slo_seconds: float | None = None
-        #: Tier-level tenant policy state, mirroring the plain engine's
-        #: (:meth:`EngineFLStore.configure_tenants`); propagated to every
-        #: shard — current and future — so per-shard queue disciplines and
-        #: push-out admission see the same weights everywhere.
+        #: Tier-level tenant policy state (:meth:`configure_tenants`),
+        #: propagated to every shard — current and future — so per-shard
+        #: queue disciplines and push-out admission see the same weights
+        #: everywhere.  The tier-lifetime per-tenant counters feed the
+        #: ``slo`` autoscaler policy.
         self._tenant_weights: dict[str, float] = {}
         self.tenant_slo_seconds: dict[str, float] = {}
         self.tenant_finished: dict[str, int] = {}
@@ -299,7 +335,9 @@ class ShardedEngineFLStore:
         **kwargs,
     ) -> "ShardedEngineFLStore":
         """Build ``num_shards`` fresh analytic shards behind one front door."""
-        flstores = [build_default_flstore(config, policy_mode=policy_mode) for _ in range(num_shards)]
+        flstores = [
+            build_default_flstore(config, policy_mode=policy_mode) for _ in range(num_shards)
+        ]
         kwargs.setdefault(
             "shard_factory", lambda: build_default_flstore(config, policy_mode=policy_mode)
         )
@@ -351,60 +389,49 @@ class ShardedEngineFLStore:
 
     # ---------------------------------------------------------------- tenancy
 
-    def configure_tenants(
-        self,
-        weights,
-        slo_seconds=None,
-    ) -> None:
+    def configure_tenants(self, weights, slo_seconds=None) -> None:
         """Arm tenant policy state tier-wide (every shard, retired included).
 
         Shards added later inherit the configuration in :meth:`add_shard`.
-        An empty ``weights`` mapping disarms tenancy, exactly as on the
-        plain engine.
+        An empty ``weights`` mapping disarms tenancy, exactly as on a shard
+        (:meth:`EngineFLStore.configure_tenants`).
         """
         self._tenant_weights = dict(weights)
         self.tenant_slo_seconds = {
-            tenant: slo
-            for tenant, slo in (slo_seconds or {}).items()
-            if slo is not None
+            tenant: slo for tenant, slo in (slo_seconds or {}).items() if slo is not None
         }
         for shard in self.shards:
             shard.configure_tenants(weights, slo_seconds)
-
-    def tenant_violation_rate(self, tenant: str | None) -> float:
-        """Tier-lifetime SLO-violation rate of ``tenant`` (0.0 before any finish)."""
-        if tenant is None:
-            return 0.0
-        finished = self.tenant_finished.get(tenant, 0)
-        if not finished:
-            return 0.0
-        return self.tenant_slo_violations.get(tenant, 0) / finished
 
     # ------------------------------------------------------------ submission
 
     def submit(self, request: WorkloadRequest, at: float, priority: float = 0.0) -> SimTask:
         """Schedule ``request`` to arrive at ``at``; it is routed on arrival.
 
-        Routing at arrival time (not submission time) is what makes online
-        resize meaningful: an arrival always lands on the shard set that is
-        active at its arrival instant, so requests submitted before a scale
-        event still benefit from (or are shielded from) the resize.
+        Returns the request's task; it resolves with an
+        :class:`~repro.engine.flstore.EngineOutcome` when the request
+        completes.  Routing at arrival time (not submission time) is what
+        makes online resize meaningful: an arrival always lands on the shard
+        set that is active at its arrival instant, so requests submitted
+        before a scale event still benefit from (or are shielded from) the
+        resize.
         """
+        task = self._new_task(request)
+        self._inflight += 1
+        self.loop.schedule_at(at, lambda: self._admit(request, task, priority))
+        return task
+
+    def _new_task(self, request: WorkloadRequest) -> SimTask:
         task = SimTask(self.loop, name=request.request_id)
         task.add_done_callback(self._collect)
-        self._inflight += 1
-
-        def _admit() -> None:
-            self.arrived_requests += 1
-            shard_index = self._route(request)
-            self.routed_counts[shard_index] += 1
-            shard_task = self.shards[shard_index].submit(
-                request, at=self.loop.now, priority=priority
-            )
-            shard_task.add_done_callback(task.resolve)
-
-        self.loop.schedule_at(at, _admit)
         return task
+
+    def _admit(self, request: WorkloadRequest, task: SimTask, priority: float) -> None:
+        """Route one arrival and hand it to its shard, in its arrival event."""
+        self.arrived_requests += 1
+        shard_index = self._route(request)
+        self.routed_counts[shard_index] += 1
+        self.shards[shard_index].arrive(request, task, priority)
 
     def _collect(self, outcome: EngineOutcome) -> None:
         """Aggregate one resolved outcome (fires in global completion order)."""
@@ -441,13 +468,12 @@ class ShardedEngineFLStore:
     ) -> None:
         """Submit one open-loop block, bulk-scheduling sorted arrivals.
 
-        The front-door counterpart of
-        :meth:`EngineFLStore._submit_block`: non-decreasing arrival instants
-        go through one :meth:`~repro.engine.kernel.EventLoop.schedule_many`
-        stream (routing still happens per arrival, at arrival time), with a
-        contiguous sequence block reserved up front so event order — and
-        every report — is byte-identical to per-request :meth:`submit`
-        calls.  Unsorted inputs fall back to those calls.
+        Non-decreasing arrival instants go through one
+        :meth:`~repro.engine.kernel.EventLoop.schedule_many` stream (routing
+        still happens per arrival, at arrival time), with a contiguous
+        sequence block reserved up front so event order — and every report —
+        is byte-identical to per-request :meth:`submit` calls.  Unsorted
+        inputs fall back to those calls.
         """
         count = len(requests)
         if count == 0:
@@ -458,25 +484,14 @@ class ShardedEngineFLStore:
                 priority = priorities[index] if priorities is not None else 0.0
                 self.submit(request, at=at, priority=priority)
             return
-        tasks = []
-        for request in requests:
-            task = SimTask(self.loop, name=request.request_id)
-            task.add_done_callback(self._collect)
-            tasks.append(task)
+        tasks = [self._new_task(request) for request in requests]
         self._inflight += count
 
-        def _admit(index: int) -> None:
-            request = requests[index]
-            self.arrived_requests += 1
-            shard_index = self._route(request)
-            self.routed_counts[shard_index] += 1
+        def _arrive(index: int) -> None:
             priority = priorities[index] if priorities is not None else 0.0
-            shard_task = self.shards[shard_index].submit(
-                request, at=self.loop.now, priority=priority
-            )
-            shard_task.add_done_callback(tasks[index].resolve)
+            self._admit(requests[index], tasks[index], priority)
 
-        self.loop.schedule_many(times, _admit)
+        self.loop.schedule_many(times, _arrive)
 
     @property
     def inflight(self) -> int:
@@ -643,22 +658,17 @@ class ShardedEngineFLStore:
     def _begin_streaming(self, collector: StreamingLoadCollector) -> None:
         """Route outcomes and queue-depth changes into ``collector``.
 
-        The front door folds every resolved outcome; each shard discards its
-        own copy of the row and reports queue-depth changes to
-        :meth:`_on_shard_depth`, which maintains the fleet-wide depth
-        incrementally.  Shards added mid-run get the same hooks
-        (see :meth:`add_shard`).
+        The front door folds every resolved outcome; each shard reports its
+        queue-depth changes to :meth:`_on_shard_depth`, which maintains the
+        fleet-wide depth incrementally.  Shards added mid-run get the same
+        hook (see :meth:`add_shard`).
         """
         self._stream_collector = collector
         self._stream_depths = {}
         self._stream_depth_total = 0
         self.outcome_sink = collector.fold
         for shard in self.shards:
-            self._apply_stream_hooks(shard)
-
-    def _apply_stream_hooks(self, shard: EngineFLStore) -> None:
-        shard.outcome_sink = _discard_outcome
-        shard.depth_listener = self._on_shard_depth
+            shard.depth_listener = self._on_shard_depth
 
     def _on_shard_depth(self, shard: EngineFLStore, now: float, depth: int) -> None:
         key = id(shard)
@@ -673,7 +683,6 @@ class ShardedEngineFLStore:
         self._stream_depth_total = 0
         self.outcome_sink = None
         for shard in self.shards:
-            shard.outcome_sink = None
             shard.depth_listener = None
 
     # --------------------------------------------------------- online resize
@@ -758,7 +767,7 @@ class ShardedEngineFLStore:
             shard.configure_tenants(self._tenant_weights, self.tenant_slo_seconds)
         shard.daemon_alive = self._has_inflight
         if self._stream_collector is not None:
-            self._apply_stream_hooks(shard)
+            shard.depth_listener = self._on_shard_depth
         self._active.append(index)
         self.router = self.router.resized(len(self._active))
         self._bind_router()
@@ -847,14 +856,18 @@ class ShardedEngineFLStore:
         Returns the number of queued waiters granted a slot by the change.
         """
         self.slots_per_function = int(limit)
-        return sum(
-            self.shards[index].set_function_concurrency(limit) for index in self._active
-        )
+        return sum(self.shards[index].set_function_concurrency(limit) for index in self._active)
 
     # ------------------------------------------------------------ run modes
 
     def run_closed_loop(self, requests: Iterable[WorkloadRequest]) -> list[ServeResult]:
-        """Serve ``requests`` sequentially through the routed tier."""
+        """Serve ``requests`` sequentially through the routed tier.
+
+        Each request arrives exactly when the previous one completed, so no
+        request ever queues; on a one-shard tier the returned
+        :class:`ServeResult` sequence is byte-identical to calling
+        ``FLStore.serve`` directly.
+        """
         results: list[ServeResult] = []
         for request in requests:
             task = self.submit(request, at=self.loop.now)
@@ -877,11 +890,19 @@ class ShardedEngineFLStore:
     ) -> LoadReport:
         """Serve ``requests`` open-loop across the tier; report fleet metrics.
 
-        Mirrors :meth:`EngineFLStore.run_open_loop`: arrival times are
-        relative to the run start, per-run counters are reported per run,
-        and the report aggregates outcomes in global completion order with
-        queue-depth profiles merged across shards (including shards added or
-        retired mid-run).  An ``autoscaler``
+        ``arrival_times`` come from an arrival process
+        (:mod:`repro.traces.arrivals`) and are relative to the start of this
+        run (the loop's current virtual time), so repeated runs on one tier
+        compose; overlapping requests contend for execution slots and queue
+        per function on their shard.  With ``keepalive`` each active shard's
+        keep-alive daemon runs as a recurring event; a shard's fault injector
+        (if configured) adds reclamation events.  ``slo_seconds`` (optional)
+        sets the sojourn-time SLO the report's ``violation_rate`` is measured
+        against.  Per-run counters (queue-depth samples, keep-alive pings,
+        reclamations, shed accounting) are reported per run, not
+        tier-lifetime, and the report aggregates outcomes in global
+        completion order with queue-depth profiles merged across shards
+        (including shards added or retired mid-run).  An ``autoscaler``
         (:class:`repro.engine.autoscale.Autoscaler`) runs its control loop
         as scheduled events on the same virtual timeline; a ``fault_plan``
         (:class:`repro.engine.faults.FaultPlan`) schedules its fault clauses
@@ -889,11 +910,11 @@ class ShardedEngineFLStore:
         (:class:`repro.engine.remediate.RemediationController`) ticks
         alongside, detecting and repairing what the faults break.
 
-        ``metrics`` selects the report pipeline exactly as on the plain
-        engine: ``"full"`` (default) retains rows and is byte-identical to
-        the pre-knob behaviour; ``"streaming"`` folds outcomes and the
-        fleet-wide queue depth into O(1)-memory accumulators — every scalar
-        column except the percentile sketches stays exact, and
+        ``metrics`` selects the report pipeline: ``"full"`` (default) retains
+        every outcome and reports exact percentiles; ``"streaming"`` folds
+        outcomes and the fleet-wide queue depth into O(1)-memory
+        accumulators (:mod:`repro.engine.streaming`) — every scalar column
+        except the three percentile sketches stays exact, and
         ``report.outcomes`` is empty.
         """
         if len(requests) != len(arrival_times):

@@ -64,10 +64,10 @@ _CHUNK = 65536
 def fast_path_eligible(spec) -> bool:
     """Whether ``spec`` can run on the vectorized fast path.
 
-    True only for the topology whose queueing is closed-form: one plain
-    engine tier, FIFO queues, unbounded admission, nothing dynamic (no
-    faults, autoscaler, or remediation controller mutating the tier
-    mid-run), and streaming metrics (the fast path retains no rows).
+    True only for the topology whose queueing is closed-form: a plain
+    (one-shard, unrouted) tier, FIFO queues, unbounded admission, nothing
+    dynamic (no faults, autoscaler, or remediation controller mutating the
+    tier mid-run), and streaming metrics (the fast path retains no rows).
     """
     return not explain_fast_path(spec)
 
@@ -85,7 +85,10 @@ def explain_fast_path(spec) -> list[str]:
     if spec.metrics != "streaming":
         reasons.append(f'metrics={spec.metrics!r} retains rows (needs "streaming")')
     if spec.tier.sharded:
-        reasons.append(f"tier.router_kind={spec.tier.router_kind!r} builds a sharded front door")
+        reasons.append(
+            f"tier.router_kind={spec.tier.router_kind!r} routes arrivals across shards "
+            "(needs null)"
+        )
     if spec.tier.queue_discipline != "fifo":
         reasons.append(
             f"tier.queue_discipline={spec.tier.queue_discipline!r} reorders the queue "
@@ -253,8 +256,8 @@ def _max_queue_depth(arrivals, starts, waits):
 def run_fast_path(store, spec, arrival_process, slo_seconds, label):
     """Serve ``spec``'s mix on the fast path; return a streaming ``LoadReport``.
 
-    ``store`` is the built (fully ingested) plain :class:`~repro.engine.
-    flstore.EngineFLStore`; the caller has already checked
+    ``store`` is the one (fully ingested) :class:`~repro.engine.flstore.
+    EngineFLStore` shard of a built plain tier; the caller has already checked
     :func:`fast_path_eligible`.  The report has the streaming pipeline's
     shape: ``outcomes`` empty, percentiles sketched, every other column
     closed-form.

@@ -1,9 +1,9 @@
 """Building and running the serving stack a :class:`ScenarioSpec` describes.
 
 :func:`build_tier` is the topology factory: it turns a validated spec into
-the right stack — analytic ``FLStore`` shards behind an ``EngineFLStore``
-facade, optionally a ``ShardedEngineFLStore`` routing front door, optionally
-an ``Autoscaler`` control loop — without running anything.  :func:`run`
+the right stack — analytic ``FLStore`` shards behind one
+``ShardedEngineFLStore`` front door (a single shard for a plain topology),
+optionally an ``Autoscaler`` control loop — without running anything.  :func:`run`
 serves the spec's workload mix through that stack open-loop and returns a
 :class:`RunReport`, the typed wrapper over the engine's
 :func:`~repro.engine.flstore.build_load_report` with the conservation
@@ -40,7 +40,7 @@ from repro.engine.faults import (
     RecoveryMetrics,
     compute_recovery_metrics,
 )
-from repro.engine.flstore import EngineFLStore, LoadReport
+from repro.engine.flstore import LoadReport
 from repro.engine.remediate import (
     RemediationConfig,
     RemediationController,
@@ -103,8 +103,8 @@ def calibrate_mean_service_seconds(
 ) -> float:
     """Mean closed-loop service time of a workload mix (seconds).
 
-    Serves the mix sequentially through a fresh engine (no queueing, no
-    admission) and averages the per-request latency — the ``E[S]`` that
+    Serves the mix sequentially through a fresh one-shard tier (no
+    queueing, no admission) and averages the per-request latency — the ``E[S]`` that
     turns a spec's ``utilization`` into an offered rate and its
     ``slo_multiplier`` into an SLO.  Uses the *base* config (tier knobs
     cannot change closed-loop service times, but keeping the config
@@ -123,9 +123,9 @@ def calibrate_mean_service_seconds(
         return _calibration_cache[key]
     config = paper_experiment_config(model_name, seed=seed)
     setup = prepare_setup(config, num_rounds=num_rounds, systems=("flstore",))
-    engine = EngineFLStore(setup.flstore)
+    tier = ShardedEngineFLStore([setup.flstore])
     trace = setup.generator.mixed_trace(list(workloads), num_requests)
-    results = engine.run_closed_loop(trace)
+    results = tier.run_closed_loop(trace)
     mean_service = float(np.mean([r.latency.total_seconds for r in results]))
     if setup_cache.enabled():
         _calibration_cache[key] = mean_service
@@ -165,8 +165,9 @@ class Tier:
 
     spec: ScenarioSpec
     config: SimulationConfig
-    #: ``EngineFLStore`` (plain topology) or ``ShardedEngineFLStore``.
-    store: object
+    #: The ``ShardedEngineFLStore`` front door (one shard, no shard factory,
+    #: for a plain topology).
+    store: ShardedEngineFLStore
     #: Attached control loop, or ``None`` when the spec disables autoscaling.
     autoscaler: Autoscaler | None
     #: Trace generator seeded from the config (shard 0's catalog).
@@ -180,15 +181,16 @@ class Tier:
 
     @property
     def sharded(self) -> bool:
-        """Whether the stack has a routing front door."""
-        return isinstance(self.store, ShardedEngineFLStore)
+        """Whether the spec asks for a sharded topology (a router over N shards)."""
+        return self.spec.tier.sharded
 
 
 def build_tier(spec: ScenarioSpec) -> Tier:
     """Construct the stack ``spec`` describes, without serving anything.
 
     * plain topology (``tier.router_kind is None``): one fully ingested
-      ``FLStore`` behind an ``EngineFLStore`` facade;
+      ``FLStore`` behind a one-shard ``ShardedEngineFLStore`` with no shard
+      factory (it cannot scale out);
     * sharded topology: ``tier.shards`` independent fully ingested stores
       behind a resizable ``ShardedEngineFLStore`` (shard factory + warm-round
       replay) with the named router;
@@ -212,7 +214,7 @@ def build_tier(spec: ScenarioSpec) -> Tier:
     generator = setups[0].generator
     autoscaler = None
     if not spec.tier.sharded:
-        store = EngineFLStore(setups[0].flstore)
+        store = ShardedEngineFLStore([setups[0].flstore])
     else:
         store = ShardedEngineFLStore(
             [setup.flstore for setup in setups],
@@ -634,7 +636,7 @@ def run(spec: ScenarioSpec) -> RunReport:
         # seconds (see repro.engine.vectorized for what it approximates).
         arrival_process = make_arrival_process(spec.arrival.kind, rate, seed=spec.seed)
         report = run_fast_path(
-            tier.store, spec, arrival_process, slo_seconds, label=spec.arrival.kind
+            tier.store.shards[0], spec, arrival_process, slo_seconds, label=spec.arrival.kind
         )
     else:
         if not spec.tenants:
@@ -671,24 +673,15 @@ def run(spec: ScenarioSpec) -> RunReport:
             f"!= {report.submitted} offered"
         )
     store = tier.store
+    max_shard_routed = max(store.routed_counts) if tier.sharded else None
     replication_row: dict = {}
-    if tier.sharded:
-        max_shard_routed = max(store.routed_counts)
-        cached_bytes = store.cached_bytes
-        live_keys = store.live_key_count
-        warm_functions = store.warm_function_count
-        if spec.tier.replication.enabled:
-            replication_row = {
-                "replicated_keys": store.replicated_keys,
-                "replica_bytes": store.replica_cached_bytes,
-                "replica_hits": store.replica_hits,
-                "replica_warm_events": store.replica_warm_events,
-            }
-    else:
-        max_shard_routed = None
-        cached_bytes = store.flstore.cached_bytes
-        live_keys = store.flstore.cluster.live_key_count
-        warm_functions = store.flstore.warm_function_count
+    if spec.tier.replication.enabled:
+        replication_row = {
+            "replicated_keys": store.replicated_keys,
+            "replica_bytes": store.replica_cached_bytes,
+            "replica_hits": store.replica_hits,
+            "replica_warm_events": store.replica_warm_events,
+        }
     tenant_rows = report.tenant_rows or None
     warm_capacity_cost = None
     if tenant_rows:
@@ -699,10 +692,8 @@ def run(spec: ScenarioSpec) -> RunReport:
         price = store.config.pricing.lambda_provisioned_cost_per_gb_second
         if tier.autoscaler is not None:
             warm_capacity_cost = tier.autoscaler.warm_capacity_cost_dollars
-        elif tier.sharded:
-            warm_capacity_cost = store.provisioned_gb * report.horizon_seconds * price
         else:
-            warm_capacity_cost = store.platform.provisioned_gb * report.horizon_seconds * price
+            warm_capacity_cost = store.provisioned_gb * report.horizon_seconds * price
         tenant_rows = attribute_warm_cost(tenant_rows, warm_capacity_cost)
     recovery = None
     if tier.fault_plan is not None and tier.fault_plan.first_onset_seconds is not None:
@@ -720,9 +711,9 @@ def run(spec: ScenarioSpec) -> RunReport:
         slo_seconds=slo_seconds,
         offered_rate_rps=rate,
         conserved=True,
-        cached_bytes=cached_bytes,
-        live_keys=live_keys,
-        warm_functions=warm_functions,
+        cached_bytes=store.cached_bytes,
+        live_keys=store.live_key_count,
+        warm_functions=store.warm_function_count,
         max_shard_routed=max_shard_routed,
         **replication_row,
         autoscale=tier.autoscaler.summary() if tier.autoscaler is not None else None,

@@ -346,12 +346,13 @@ class RemediationSpec:
 class TierSpec:
     """The serving topology the spec builds.
 
-    ``router_kind=None`` (the default) is the *plain engine* topology: one
-    ``FLStore`` behind an ``EngineFLStore`` facade, no routing front door —
-    what the open-loop load sweep measures.  Naming a router builds a
-    ``ShardedEngineFLStore`` over ``shards`` full shards; enabling the
-    autoscaler additionally makes the tier resizable (``shards`` is then the
-    *starting* count).
+    Every topology is built as a ``ShardedEngineFLStore`` front door.
+    ``router_kind=None`` (the default) is the *plain* topology: one
+    ``FLStore`` shard with no router choice and no shard factory, so it
+    never scales out — what the open-loop load sweep measures.  Naming a
+    router builds the front door over ``shards`` full shards with that
+    router and a shard factory; enabling the autoscaler lets it resize
+    (``shards`` is then the *starting* count).
     """
 
     shards: int = 1
@@ -392,7 +393,7 @@ class TierSpec:
 
     @property
     def sharded(self) -> bool:
-        """Whether this topology has a routing front door."""
+        """Whether this topology routes across shards (names a router)."""
         return self.router_kind is not None
 
 

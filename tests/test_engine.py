@@ -7,7 +7,7 @@ import pytest
 from repro.common.errors import CapacityError
 from repro.config import SimulationConfig
 from repro.core.flstore import build_default_flstore
-from repro.engine import EngineFLStore, EventLoop, SimTask, Timeout
+from repro.engine import EngineFLStore, EventLoop, ShardedEngineFLStore, SimTask, Timeout
 from repro.fl.trainer import FLJobSimulator
 from repro.serverless.faults import ZipfianFaultInjector
 from repro.serverless.function import RequestQueue, ServerlessFunction
@@ -225,19 +225,19 @@ def engine_rounds(engine_config):
 
 class TestClosedLoopEquivalence:
     def test_every_workload_is_byte_identical_to_direct_serve(self, engine_config, engine_rounds):
-        """The acceptance invariant: sequential arrivals through the engine
-        reproduce the direct FLStore.serve path exactly, for every registered
-        workload, including the RequestRecord rows."""
+        """The acceptance invariant: sequential arrivals through a one-shard
+        front door reproduce the direct FLStore.serve path exactly, for every
+        registered workload, including the RequestRecord rows."""
         direct = _ingested_flstore(engine_config, engine_rounds)
-        engine = EngineFLStore(_ingested_flstore(engine_config, engine_rounds))
+        tier = ShardedEngineFLStore([_ingested_flstore(engine_config, engine_rounds)])
         gen_direct = RequestTraceGenerator(direct.catalog, seed=3)
-        gen_engine = RequestTraceGenerator(engine.catalog, seed=3)
+        gen_engine = RequestTraceGenerator(tier.catalog, seed=3)
 
         for workload_name in list_workloads():
             trace_direct = gen_direct.workload_trace(workload_name, 4)
             trace_engine = gen_engine.workload_trace(workload_name, 4)
             direct_results = [direct.serve(request) for request in trace_direct]
-            engine_results = engine.run_closed_loop(trace_engine)
+            engine_results = tier.run_closed_loop(trace_engine)
             for expected, actual in zip(direct_results, engine_results):
                 assert actual.latency == expected.latency, workload_name
                 assert actual.cost == expected.cost, workload_name
@@ -252,8 +252,8 @@ class TestClosedLoopEquivalence:
                 actual_row = actual.to_record("s", "m", 0)
                 assert actual_row == expected_row, workload_name
         # Both sides advanced their virtual clocks identically.
-        assert engine.flstore.clock.now() == direct.clock.now()
-        assert engine.loop.now == direct.clock.now()
+        assert tier.shards[0].flstore.clock.now() == direct.clock.now()
+        assert tier.loop.now == direct.clock.now()
 
     def test_engine_rejects_flstore_with_its_own_injector(self, engine_config):
         flstore = build_default_flstore(

@@ -348,7 +348,7 @@ class TestExplainFastPath:
         reasons = explain_fast_path(get_scenario("engine-baseline"))
         assert any("metrics" in reason for reason in reasons)
         reasons = explain_fast_path(get_scenario("hotkey-replicated"))
-        assert any("sharded" in reason for reason in reasons)
+        assert any("tier.router_kind" in reason for reason in reasons)
 
     def test_smoke_run_prints_the_fast_path_verdict(self, capsys):
         from repro.cli import main
@@ -358,4 +358,4 @@ class TestExplainFastPath:
         assert main(["run-scenario", "--name", "hotkey-replicated", "--smoke"]) == 0
         out = capsys.readouterr().out
         assert "fast path: event path" in out
-        assert "sharded" in out
+        assert "tier.router_kind" in out

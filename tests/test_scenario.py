@@ -360,7 +360,11 @@ class TestOverrides:
 class TestBuildTier:
     def test_plain_topology_builds_engine(self):
         tier = build_tier(_tiny_spec())
-        assert isinstance(tier.store, EngineFLStore)
+        assert isinstance(tier.store, ShardedEngineFLStore)
+        assert tier.store.num_shards == 1
+        assert isinstance(tier.store.shards[0], EngineFLStore)
+        # A plain tier cannot scale out: it has no shard factory.
+        assert tier.store._shard_factory is None
         assert tier.autoscaler is None
         assert not tier.sharded
         assert tier.mean_service_seconds > 0
@@ -404,7 +408,7 @@ class TestBuildTier:
         assert serverless.shed_policy == "degrade-to-objstore"
         assert serverless.function_concurrency == 2
         assert serverless.queue_discipline == "priority"
-        assert tier.store.max_queue_depth == 5
+        assert tier.store.shards[0].max_queue_depth == 5
 
 
 # ---------------------------------------------------------------------------

