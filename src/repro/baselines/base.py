@@ -33,7 +33,7 @@ from repro.simulation.records import (
     LatencyAccumulator,
     LatencyBreakdown,
 )
-from repro.workloads.base import WorkloadRequest
+from repro.workloads.base import DeferredResult, WorkloadRequest
 from repro.workloads.registry import get_workload
 
 
@@ -118,7 +118,12 @@ class AggregatorBaseline(abc.ABC):
         )
 
     def serve(self, request: WorkloadRequest) -> ServeResult:
-        """Serve one non-training request with the conventional GET/compute/PUT flow."""
+        """Serve one non-training request with the conventional GET/compute/PUT flow.
+
+        The workload's output is computed on the first read of
+        ``ServeResult.result``; the data is validated here, so a request that
+        cannot be computed raises from ``serve``.
+        """
         workload = get_workload(request.workload)
         required_keys = workload.required_keys(request, self.catalog)
 
@@ -143,10 +148,11 @@ class AggregatorBaseline(abc.ABC):
         execution = self.instance.execute(compute_seconds)
         latency.add(execution.latency)
         cost.add(execution.cost)
-        result = workload.compute(request, data)
+        workload.validate(request, data)
+        output = DeferredResult(workload, request, data)
 
         # PUT the result back to the data plane (Step 3) and return it (Step 4).
-        put_latency, put_cost = self._store_result(("result", request.request_id), result, workload.result_size_bytes)
+        put_latency, put_cost = self._store_result(("result", request.request_id), output, workload.result_size_bytes)
         latency.add(put_latency)
         cost.add(put_cost)
         latency.add_communication(
@@ -165,7 +171,7 @@ class AggregatorBaseline(abc.ABC):
         return ServeResult(
             request_id=request.request_id,
             workload=request.workload,
-            result=result,
+            output=output,
             latency=latency.finalize(),
             cost=cost.finalize(),
             cache_hits=0,

@@ -16,8 +16,8 @@ Figure 5, and implements the end-to-end request workflow of Figure 6:
    need and evicts data that is no longer necessary.
 
 The :meth:`FLStore.serve` method returns a :class:`ServeResult` carrying the
-workload output plus the latency and dollar cost of the request, decomposed
-the same way the paper's evaluation reports them.
+workload output (computed on first read) plus the latency and dollar cost of
+the request, decomposed the same way the paper's evaluation reports them.
 """
 
 from __future__ import annotations
@@ -50,19 +50,23 @@ from repro.simulation.records import (
     LatencyAccumulator,
     LatencyBreakdown,
 )
-from repro.workloads.base import Workload, WorkloadRequest
+from repro.workloads.base import DeferredResult, Workload, WorkloadRequest
 from repro.workloads.registry import get_workload
 
 
 @dataclass(slots=True)
 class ServeResult:
-    """Outcome of serving one non-training request."""
+    """Outcome of serving one non-training request.
+
+    The workload's output is computed on the first read of :attr:`result`,
+    from the data the request resolved when it was served; latency, cost and
+    every other field are final when ``serve`` returns.
+    """
 
     request_id: str
     workload: str
-    #: The workload's output.  Requests with one data signature share one
-    #: result object (see :meth:`FLStore.serve`), so treat it as read-only.
-    result: dict[str, Any]
+    #: The cell holding the workload's output (see :class:`DeferredResult`).
+    output: DeferredResult
     latency: LatencyBreakdown
     cost: CostBreakdown
     cache_hits: int = 0
@@ -75,6 +79,17 @@ class ServeResult:
     #: requests outside the serverless fleet, e.g. the aggregator baselines).
     #: The discrete-event engine queues concurrent requests on this function.
     execution_function: str | None = None
+
+    @property
+    def result(self) -> dict[str, Any]:
+        """The workload's output, computed on the first read.
+
+        Requests with one data signature share one output object (see
+        :meth:`FLStore.serve`), so treat it as read-only.  The first read runs
+        ``Workload.compute``; it cannot raise for a request that the serving
+        path validated.
+        """
+        return self.output.get()
 
     @property
     def hit_rate(self) -> float:
@@ -137,9 +152,9 @@ class FLStore:
         self.model_spec: ModelSpec = get_model_spec(self.config.job.model_name)
         self.ingest_cost = CostBreakdown.zero()
         self._request_ids = IdGenerator(prefix="req", width=6)
-        #: Workload results by :meth:`Workload.result_key`, valid for the
-        #: current catalog state only (every ingest clears it).
-        self._results: dict[tuple, dict[str, Any]] = {}
+        #: Deferred workload results by :meth:`Workload.result_key`, valid for
+        #: the current catalog state only (every ingest clears it).
+        self._results: dict[tuple, DeferredResult] = {}
 
     # --------------------------------------------------------------- ingest
 
@@ -187,9 +202,11 @@ class FLStore:
 
         Latency and cost come from the data the request resolves and the
         analytic ``compute_seconds``, never from the workload's output, so
-        the output is memoized per data signature (:meth:`_compute_result`):
-        requests with one signature share one ``result`` object, which
-        callers must treat as read-only.
+        the output is computed only when ``ServeResult.result`` is first read,
+        and memoized per data signature (:meth:`_compute_result`): requests
+        with one signature share one ``result`` object, which callers must
+        treat as read-only.  The data is validated here, so a request that
+        cannot be computed raises from ``serve``.
         """
         workload = get_workload(request.workload)
         required_keys = workload.required_keys(request, self.catalog)
@@ -281,14 +298,14 @@ class FLStore:
             )
             cost.add(self.cost_model.lambda_execution_cost(memory_gb, miss_fetch_seconds))
 
-        result = self._compute_result(workload, request, data)
+        output = self._compute_result(workload, request, data)
 
         # --- return results and persist them --------------------------------
         latency.add_communication(
             self.topology.client.transfer_seconds(workload.result_size_bytes)
         )
         result_key = ("result", request.request_id)
-        store_result = self.persistent_store.put(result_key, result, size_bytes=workload.result_size_bytes)
+        store_result = self.persistent_store.put(result_key, output, size_bytes=workload.result_size_bytes)
         cost.add(store_result.cost)  # asynchronous: cost counted, latency off the critical path
 
         # --- tailored prefetching and eviction ------------------------------
@@ -313,7 +330,7 @@ class FLStore:
         return ServeResult(
             request_id=request.request_id,
             workload=request.workload,
-            result=result,
+            output=output,
             latency=latency.finalize(),
             cost=cost.finalize(),
             cache_hits=hits,
@@ -329,15 +346,18 @@ class FLStore:
 
     def _compute_result(
         self, workload: Workload, request: WorkloadRequest, data: dict[DataKey, Any]
-    ) -> dict[str, Any]:
-        """``workload.compute(request, data)``, memoized by its result key.
+    ) -> DeferredResult:
+        """Validate ``(request, data)`` now; defer ``workload.compute`` to the first read.
 
-        A hit returns exactly what a fresh call would: the key holds every
-        input ``compute`` reads, and every ingest clears the memo, so a key's
-        value never changes under it.  Workloads whose key is ``None``, and
-        requests whose key is unhashable, are computed every time; a call
-        that raises stores nothing.
+        The returned cell is memoized by the workload's result key, so
+        requests with one key share one cell and, once it is read, one
+        output.  A hit computes exactly what a fresh call would: the key
+        holds every input ``compute`` reads, each cell holds its own ``data``
+        dict, and every ingest clears the memo, so a key's cell never goes
+        stale.  Workloads whose key is ``None``, and requests whose key is
+        unhashable, get a cell of their own every time.
         """
+        workload.validate(request, data)
         key = workload.result_key(request, data)
         if key is not None:
             try:
@@ -346,10 +366,10 @@ class FLStore:
                 pass
             except TypeError:  # an unhashable params value
                 key = None
-        result = workload.compute(request, data)
+        output = DeferredResult(workload, request, data)
         if key is not None:
-            self._results[key] = result
-        return result
+            self._results[key] = output
+        return output
 
     def _fetch_from_persistent(self, key: DataKey) -> tuple[LatencyBreakdown, CostBreakdown, Any]:
         """Fetch a cold object from the persistent store (returns ``None`` if absent)."""

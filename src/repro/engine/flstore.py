@@ -47,7 +47,7 @@ from repro.simulation.records import (
     LatencyAccumulator,
     LatencyBreakdown,
 )
-from repro.workloads.base import WorkloadRequest
+from repro.workloads.base import DeferredResult, WorkloadRequest
 from repro.workloads.registry import get_workload
 
 #: How a request left the engine:
@@ -117,7 +117,7 @@ def rejection_result(flstore: FLStore, request: WorkloadRequest) -> ServeResult:
     return ServeResult(
         request_id=request.request_id,
         workload=request.workload,
-        result={"admitted": False, "shed_policy": "drop"},
+        output=DeferredResult.ready({"admitted": False, "shed_policy": "drop"}),
         latency=LatencyBreakdown(communication_seconds=flstore.topology.client.rtt_seconds),
         cost=CostBreakdown.zero(),
     )
@@ -130,7 +130,9 @@ def serve_degraded(flstore: FLStore, request: WorkloadRequest) -> ServeResult:
     function fetches every required object from the persistent store,
     computes the workload, and writes the result back — never touching the
     serving tier's cache, queues, policies, or analytic clock, so admitted
-    traffic is byte-unaffected by concurrent degraded serves.  The latency
+    traffic is byte-unaffected by concurrent degraded serves.  As in
+    ``FLStore.serve``, the data is validated here and the output, shared
+    through the same memo, is computed on the first read of ``result``.  The latency
     is dominated by the cold start plus the object-store fetches, which is
     exactly the regime FLStore exists to avoid; shedding onto it trades
     tail latency for availability.
@@ -166,17 +168,17 @@ def serve_degraded(flstore: FLStore, request: WorkloadRequest) -> ServeResult:
     billed_seconds = max(fetch_seconds + compute_seconds, 0.001)
     cost.add(flstore.cost_model.lambda_execution_cost(memory_gb, billed_seconds))
 
-    result = flstore._compute_result(workload, request, data)
+    output = flstore._compute_result(workload, request, data)
     latency.add_communication(flstore.topology.client.transfer_seconds(workload.result_size_bytes))
     store_result = flstore.persistent_store.put(
-        ("result", request.request_id), result, size_bytes=workload.result_size_bytes
+        ("result", request.request_id), output, size_bytes=workload.result_size_bytes
     )
     cost.add(store_result.cost)  # asynchronous: cost counted, latency off the critical path
 
     return ServeResult(
         request_id=request.request_id,
         workload=request.workload,
-        result=result,
+        output=output,
         latency=latency.finalize(),
         cost=cost.finalize(),
         cache_hits=0,

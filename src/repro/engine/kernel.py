@@ -301,7 +301,9 @@ class EventLoop:
             raise ValueError(f"delay must be non-negative, got {delay}")
         self.schedule_at(self.now + delay, action)
 
-    def schedule_many(self, times: Sequence[float] | np.ndarray, action: Callable[[int], None]) -> None:
+    def schedule_many(
+        self, times: Sequence[float] | np.ndarray, action: Callable[[int], None]
+    ) -> None:
         """Schedule ``action(i)`` at each ``times[i]`` from a sorted array.
 
         The bulk fast path for pre-known instants (e.g. arrival times):
@@ -333,7 +335,9 @@ class EventLoop:
 
     # ------------------------------------------------------------ processes
 
-    def process(self, generator: Process, task: SimTask | None = None, name: str | None = None) -> SimTask:
+    def process(
+        self, generator: Process, task: SimTask | None = None, name: str | None = None
+    ) -> SimTask:
         """Start driving ``generator`` as a timed process; returns its task.
 
         The generator may yield :class:`Timeout` (sleep) or :class:`SimTask`

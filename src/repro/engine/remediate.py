@@ -353,9 +353,7 @@ class RemediationController:
             current = sample["active_shards"] * sample["slots_per_function"]
             anomalies.append(Anomaly(now, "capacity-loss", float(current), float(nominal)))
         if sample["requeued_delta"] >= config.requeue_spike_threshold:
-            anomalies.append(
-                Anomaly(now, "requeue-spike", float(sample["requeued_delta"]), 0.0)
-            )
+            anomalies.append(Anomaly(now, "requeue-spike", float(sample["requeued_delta"]), 0.0))
         if self.ticks > config.warmup_ticks:
             depth = sample["queue_depth"]
             depth_gate = max(
@@ -369,9 +367,7 @@ class RemediationController:
                 config.queue_depth_factor * self._violation_baseline,
             )
             if violation > violation_gate:
-                anomalies.append(
-                    Anomaly(now, "slo-violation", violation, self._violation_baseline)
-                )
+                anomalies.append(Anomaly(now, "slo-violation", violation, self._violation_baseline))
         return anomalies
 
     def _may_act(self, now: float) -> bool:
@@ -493,9 +489,7 @@ class RemediationController:
         if proposal.action == "add-shard":
             tier.add_shard()
         elif proposal.action == "promote-slots":
-            tier.set_function_concurrency(
-                min(self.nominal_slots, tier.slots_per_function + 1)
-            )
+            tier.set_function_concurrency(min(self.nominal_slots, tier.slots_per_function + 1))
         elif proposal.action == "reroute-jsq":
             tier.set_router_kind("jsq")
         elif proposal.action == "shed-degrade":

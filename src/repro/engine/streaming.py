@@ -43,9 +43,20 @@ class StreamingQuantiles:
     p50/p95/p99 latency columns — and the whole sketch is ~12 KB.
     """
 
-    __slots__ = ("_min_value", "_log_min", "_log_growth", "_num_bins", "_counts", "_total", "_low", "_high")
+    __slots__ = (
+        "_min_value",
+        "_log_min",
+        "_log_growth",
+        "_num_bins",
+        "_counts",
+        "_total",
+        "_low",
+        "_high",
+    )
 
-    def __init__(self, min_value: float = 1e-6, max_value: float = 1e7, growth: float = 1.02) -> None:
+    def __init__(
+        self, min_value: float = 1e-6, max_value: float = 1e7, growth: float = 1.02
+    ) -> None:
         if not (0.0 < min_value < max_value):
             raise ValueError("need 0 < min_value < max_value")
         if growth <= 1.0:
@@ -148,7 +159,16 @@ class DepthAccumulator:
 class _TenantAccumulator:
     """Per-tenant running counts and a sojourn sketch (streaming mode)."""
 
-    __slots__ = ("offered", "served", "requeued", "degraded", "shed", "sojourn_sum", "violations", "quantiles")
+    __slots__ = (
+        "offered",
+        "served",
+        "requeued",
+        "degraded",
+        "shed",
+        "sojourn_sum",
+        "violations",
+        "quantiles",
+    )
 
     def __init__(self) -> None:
         self.offered = 0
@@ -316,7 +336,9 @@ class StreamingLoadCollector:
         if submitted == 0:
             first_arrival = 0.0
         completed = self.completed
-        last_completion = self.last_completion if self.last_completion > -math.inf else first_arrival
+        last_completion = (
+            self.last_completion if self.last_completion > -math.inf else first_arrival
+        )
         horizon = max(last_completion - first_arrival, 0.0)
         arrival_span = last_arrival - first_arrival if submitted > 1 else 0.0
         offered = submitted / arrival_span if arrival_span > 0 else 0.0
@@ -337,7 +359,9 @@ class StreamingLoadCollector:
             p95_sojourn_seconds=self.quantiles.quantile(0.95) if completed else 0.0,
             p99_sojourn_seconds=self.quantiles.quantile(0.99) if completed else 0.0,
             mean_wait_seconds=self.wait_sum / completed if completed else 0.0,
-            mean_service_seconds=(self.sojourn_sum - self.wait_sum) / completed if completed else 0.0,
+            mean_service_seconds=(
+                (self.sojourn_sum - self.wait_sum) / completed if completed else 0.0
+            ),
             mean_queue_depth=mean_depth,
             max_queue_depth=max_depth,
             keepalive_pings=keepalive_pings,

@@ -99,14 +99,29 @@ class Workload(abc.ABC):
 
         ``compute`` is a pure function of the request fields and ``data``: it
         keeps no state between calls, and any randomness is seeded from the
-        request.  FLStore's result memo (:meth:`result_key`) and the
-        differential kernel tests rely on this.  Kernels work in whole-array
-        numpy, a few array operations per call rather than one numpy call per
-        update or record, because the inputs are small and per-call overhead
-        dominates.
+        request.  The serving systems rely on this: they only capture
+        ``(request, data)`` at serve time in a :class:`DeferredResult`, and
+        ``compute`` runs at most once per cell, at any time after the serve,
+        on the first read of the output.  FLStore's result memo
+        (:meth:`result_key`) and the differential kernel tests rely on it too.
+        Errors belong in :meth:`validate`, which runs at serve time:
+        ``compute`` must not raise on inputs that ``validate`` accepted.
+        Kernels work in whole-array numpy, a few array operations per call
+        rather than one numpy call per update or record, because the inputs
+        are small and per-call overhead dominates.
         """
 
     # ----------------------------------------------------- shared behaviour
+
+    def validate(self, request: WorkloadRequest, data: Mapping[DataKey, Any]) -> None:
+        """Raise :class:`WorkloadError` if ``compute(request, data)`` would raise.
+
+        Every serving path calls this at serve time, before it defers
+        ``compute``, so a bad request still fails where it is served.  The
+        default accepts everything: a workload whose ``compute`` can raise
+        overrides it.
+        """
+        del request, data
 
     def result_key(self, request: WorkloadRequest, data: Mapping[DataKey, Any]) -> tuple | None:
         """Key under which ``compute(request, data)`` may be memoized.
@@ -178,6 +193,54 @@ class Workload(abc.ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Workload {self.name} ({self.policy_class.value})>"
+
+
+class DeferredResult:
+    """A workload's output, computed on the first read of :meth:`get`.
+
+    The cell captures ``(workload, request, data)`` at serve time.  The first
+    :meth:`get` calls ``workload.compute`` once, caches the value and drops
+    the inputs; a read that raises caches nothing, so the next read calls
+    ``compute`` again and raises again.  Serving never reads the output
+    (latency and cost come from the resolved data and ``compute_seconds``),
+    so a result nobody reads is never computed.  Two cells are equal when
+    their outputs are, which computes both.
+    """
+
+    __slots__ = ("_inputs", "_value")
+
+    def __init__(
+        self, workload: Workload, request: WorkloadRequest, data: Mapping[DataKey, Any]
+    ) -> None:
+        self._inputs = (workload, request, data)
+        self._value = None
+
+    @classmethod
+    def ready(cls, value: dict[str, Any]) -> DeferredResult:
+        """A cell that already holds ``value`` (for outputs made without a workload)."""
+        cell = cls.__new__(cls)
+        cell._inputs = None
+        cell._value = value
+        return cell
+
+    @property
+    def computed(self) -> bool:
+        """Whether the output has been computed (or was given ready)."""
+        return self._inputs is None
+
+    def get(self) -> dict[str, Any]:
+        """The output, computing it on the first call."""
+        inputs = self._inputs
+        if inputs is not None:
+            workload, request, data = inputs
+            self._value = workload.compute(request, data)
+            self._inputs = None
+        return self._value
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DeferredResult):
+            return NotImplemented
+        return self is other or self.get() == other.get()
 
 
 def group_means(values: np.ndarray, groups: np.ndarray, count: int) -> np.ndarray:

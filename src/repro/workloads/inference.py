@@ -11,6 +11,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
+from repro.common.errors import WorkloadError
 from repro.common.rng import derive_rng
 from repro.fl.catalog import RoundCatalog
 from repro.fl.keys import DataKey
@@ -37,11 +38,16 @@ class InferenceWorkload(Workload):
         del request, data
         return None
 
+    def validate(self, request: WorkloadRequest, data: Mapping[DataKey, Any]) -> None:
+        """The round's aggregate must be present and ``batch_size`` a positive integer."""
+        self.validate_data(request, data, [DataKey.aggregate(request.round_id)])
+        self._batch_size(request)
+
     def compute(self, request: WorkloadRequest, data: Mapping[DataKey, Any]) -> dict[str, Any]:
         keys = [DataKey.aggregate(request.round_id)]
         self.validate_data(request, data, keys)
         aggregate: ModelUpdate = data[keys[0]]
-        batch_size = int(request.params.get("batch_size", 64))
+        batch_size = self._batch_size(request)
         rng = derive_rng(request.round_id, "inference-batch", request.request_id)
         inputs = rng.normal(0.0, 1.0, size=(batch_size, aggregate.dim))
         logits = inputs @ aggregate.weights
@@ -54,3 +60,18 @@ class InferenceWorkload(Workload):
             "mean_confidence": float(np.abs(probabilities - 0.5).mean() * 2.0),
             "predictions": predictions.tolist(),
         }
+
+    def _batch_size(self, request: WorkloadRequest) -> int:
+        """The requested batch size (default 64); raises :class:`WorkloadError` unless positive."""
+        value = request.params.get("batch_size", 64)
+        try:
+            batch_size = int(value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise WorkloadError(
+                f"request {request.request_id} ({self.name}): bad batch_size {value!r}"
+            ) from exc
+        if batch_size < 1:
+            raise WorkloadError(
+                f"request {request.request_id} ({self.name}): batch_size {batch_size} < 1"
+            )
+        return batch_size

@@ -1,8 +1,9 @@
 """FLStore's workload-result memo and the determinism it relies on.
 
-``FLStore`` memoizes ``Workload.compute`` per data signature
-(``Workload.result_key``): a hit must equal a fresh call, every ingest must
-empty the memo, and workloads that opt out must compute on every request.
+``FLStore`` memoizes its deferred ``Workload.compute`` cells per data
+signature (``Workload.result_key``): a hit must equal a fresh call, every
+ingest must empty the memo, and workloads that opt out must compute once per
+request, on the first read of its result.
 """
 
 from __future__ import annotations
@@ -143,14 +144,26 @@ class TestUnmemoized:
 
         monkeypatch.setattr(InferenceWorkload, "compute", counting)
         round_id = flstore.catalog.latest_round
-        for _ in range(3):
-            flstore.serve(flstore.make_request("inference", round_id=round_id))
+        served = [
+            flstore.serve(flstore.make_request("inference", round_id=round_id)) for _ in range(3)
+        ]
+        assert len(calls) == 0
+        for result in served:
+            result.result
+        assert len(calls) == 3
+        for result in served:
+            result.result
         assert len(calls) == 3
 
     def test_none_key_computes_every_request(self, flstore, probe):
         workload = probe(memoize=False)
-        for _ in range(3):
-            flstore.serve(flstore.make_request(workload.name, round_id=3))
+        served = [flstore.serve(flstore.make_request(workload.name, round_id=3)) for _ in range(3)]
+        assert workload.calls == 0
+        for result in served:
+            result.result
+        assert workload.calls == 3
+        for result in served:
+            result.result
         assert workload.calls == 3
 
     def test_default_key_computes_once(self, flstore, probe):
@@ -163,11 +176,16 @@ class TestUnmemoized:
 
     def test_raising_compute_raises_every_call(self, flstore, probe):
         workload = probe(error=True)
-        for _ in range(2):
+        served = [flstore.serve(flstore.make_request(workload.name, round_id=3)) for _ in range(2)]
+        assert workload.calls == 0
+        for calls, result in enumerate(served * 2, start=1):
             with pytest.raises(WorkloadError):
-                flstore.serve(flstore.make_request(workload.name, round_id=3))
-        assert workload.calls == 2
-        assert not flstore._results
+                result.result
+            assert workload.calls == calls
+        # Nothing was cached: one more read computes and raises again.
+        with pytest.raises(WorkloadError):
+            served[0].result
+        assert workload.calls == 5
 
     def test_unhashable_params_compute_without_the_memo(self, flstore, probe):
         workload = probe()
